@@ -33,7 +33,7 @@ use crate::{ConsensusProtocol, ValueSet};
 /// assert!(core.done());
 /// assert_eq!(core.decide(), Some(Bit::Zero)); // min rule
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FloodingCore {
     known: ValueSet,
     rounds_left: u32,

@@ -318,7 +318,7 @@ pub enum StageKind {
     Deterministic,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
     Probabilistic,
     Delay,
@@ -331,7 +331,10 @@ enum Stage {
 /// information): [`preference`](Self::preference),
 /// [`tentatively_decided`](Self::tentatively_decided),
 /// [`stage`](Self::stage), and [`last_n`](Self::last_n).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The process owns no heap memory — it is `Copy` — so forking a world of
+/// them is a plain memory copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SynRanProcess {
     n: usize,
     rule: CoinRule,
@@ -339,9 +342,11 @@ pub struct SynRanProcess {
     b: Bit,
     decided: bool,
     decision: Option<Bit>,
-    /// `n_hist[j]` is `N^{j−1}`: message counts with the paper's
-    /// `N^{−1} = N^{0} = n` convention at indices 0 and 1.
-    n_hist: Vec<usize>,
+    /// The last three message counts, newest first: `[N^{r−1}, N^{r−2},
+    /// N^{r−3}]` while round `r` is being received — all the rules ever
+    /// read. Starting at `[n, n, n]` gives the paper's `N^{−1} = N^{0} = n`
+    /// convention and clamps earlier counts to `n`.
+    recent: [usize; 3],
     stage: Stage,
 }
 
@@ -377,7 +382,7 @@ impl SynRanProcess {
             b: input,
             decided: false,
             decision: None,
-            n_hist: vec![n, n],
+            recent: [n; 3],
             stage: Stage::Probabilistic,
         }
     }
@@ -423,17 +428,7 @@ impl SynRanProcess {
     /// first round completes).
     #[must_use]
     pub fn last_n(&self) -> usize {
-        *self.n_hist.last().expect("history starts non-empty")
-    }
-
-    /// `N^j` with the convention `N^{−1} = N^{0} = n`; values before
-    /// round −1 are clamped to `n`.
-    fn n_at(&self, j: i64) -> usize {
-        if j < -1 {
-            self.n
-        } else {
-            self.n_hist[(j + 1) as usize]
-        }
+        self.recent[0]
     }
 
     /// Predicts what this process will do when it receives a
@@ -453,21 +448,20 @@ impl SynRanProcess {
         if !matches!(self.stage, Stage::Probabilistic) {
             return None;
         }
-        // The history as it will look once n_r is pushed.
-        let r = self.n_hist.len() as i64 - 1;
+        let [n_r1, n_r2, n_r3] = self.recent;
         if (n_r as f64) < deterministic_threshold(self.n) {
             return Some(PredictedStep::Handover);
         }
         let th = &self.thresholds;
         if self.decided {
-            let diff = self.n_at(r - 3).saturating_sub(n_r);
+            let diff = n_r3.saturating_sub(n_r);
             // The paper's 10·diff ≤ N^{r−2}, generalised to the margin
             // constant: 20·diff ≤ stability·N^{r−2}.
-            if 20 * diff as u64 <= u64::from(th.stability) * self.n_at(r - 2) as u64 {
+            if 20 * diff as u64 <= u64::from(th.stability) * n_r2 as u64 {
                 return Some(PredictedStep::Stop(self.b));
             }
         }
-        let base = self.n_at(r - 1) as u64;
+        let base = n_r1 as u64;
         let o = 20 * o_r as u64;
         // The propose-1 branch and the one-sided Z = 0 branch produce the
         // same step by design — they are distinct lines of the paper's
@@ -516,7 +510,7 @@ impl SynRanProcess {
         let step = self
             .predict(n_r, o_r, z_r)
             .expect("probabilistic_step runs only in the probabilistic stage");
-        self.n_hist.push(n_r);
+        self.recent = [n_r, self.recent[0], self.recent[1]];
         match step {
             PredictedStep::Handover => self.stage = Stage::Delay,
             PredictedStep::Stop(value) => self.decision = Some(value),

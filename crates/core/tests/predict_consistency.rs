@@ -84,7 +84,7 @@ fn predict_matches_receive() {
 
         let n_r = ones + zeros + known;
         let predicted = p.predict(n_r, ones, zeros).expect("probabilistic stage");
-        let before = p.clone();
+        let before = p;
         drive(&mut p, &inbox_with(ones, zeros, known), seed ^ 0xABCD);
 
         match predicted {
@@ -111,7 +111,7 @@ fn predict_matches_receive() {
                 assert!(!p.tentatively_decided(), "case {case}");
                 assert_eq!(p.decision(), None, "case {case}");
                 // The coin is the only nondeterminism: same seed, same bit.
-                let mut q = before.clone();
+                let mut q = before;
                 drive(&mut q, &inbox_with(ones, zeros, known), seed ^ 0xABCD);
                 assert_eq!(q.preference(), p.preference(), "case {case}");
             }

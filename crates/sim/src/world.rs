@@ -58,7 +58,9 @@ impl Phase {
     }
 }
 
-#[derive(Debug, Clone)]
+/// `Copy` whenever `P` is, so cloning a slot vector of heap-free
+/// processes is a single memory copy.
+#[derive(Debug, Clone, Copy)]
 struct Slot<P> {
     proc: P,
     status: ProcessStatus,

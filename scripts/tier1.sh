@@ -240,4 +240,19 @@ cmp "$fleet_dir/serial/fsmoke.journal.jsonl" "$fleet_dir/tcpdrop/fsmoke.journal.
     || { echo "TCP drop_conn re-run journal diverged"; exit 1; }
 echo "fleet TCP smoke OK: loopback agent byte-identical (mixed remote+local), drop_conn reconnect converges"
 
+echo "== tier1: committed journals regenerate =="
+# Every shipped campaign must regenerate its committed journal byte for
+# byte. Run from a scratch directory: the presets write their telemetry
+# under ./results relative to the working directory, which must never be
+# the repository's own results/.
+journal_dir="$(mktemp -d /tmp/synran-journals.XXXXXX)"
+trap 'kill "$agent_pid" "$drop_agent_pid" 2>/dev/null || true; rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$cohort_dir" "$campaign_dir" "$fleet_dir" "$journal_dir"' EXIT
+for name in e3 e4 e6 e7; do
+    (cd "$journal_dir" && "$synran_bin" campaign run "$OLDPWD/campaigns/$name.campaign" \
+        --fresh --results-dir fresh >/dev/null 2>&1)
+    cmp "$journal_dir/fresh/$name.journal.jsonl" "results/$name.journal.jsonl" \
+        || { echo "$name journal no longer matches results/$name.journal.jsonl"; exit 1; }
+done
+echo "journal regeneration OK: e3, e4, e6, e7 byte-identical to results/"
+
 echo "== tier1: OK =="

@@ -180,18 +180,26 @@ impl Opts {
         } else {
             n.saturating_sub(1)
         };
+        let ones = get_usize("ones", n / 2)?;
+        if ones > n {
+            return Err(format!("--ones {ones} exceeds --n {n}"));
+        }
+        let runs = get_usize("runs", 20)?;
+        if runs == 0 {
+            return Err("--runs must be at least 1".into());
+        }
         Ok(Opts {
             adversary: values
                 .get("adversary")
                 .cloned()
                 .unwrap_or_else(|| "passive".into()),
             t: get_usize("t", default_t)?,
-            ones: get_usize("ones", n / 2)?,
+            ones,
             seed: values.get("seed").map_or(Ok(1), |v| {
                 v.parse()
                     .map_err(|_| format!("--seed: not an integer: {v}"))
             })?,
-            runs: get_usize("runs", 20)?,
+            runs,
             threads: get_usize("threads", 0)?,
             trace: flags.iter().any(|f| f == "trace"),
             telemetry,
