@@ -23,8 +23,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use synran_core::SynRanProcess;
-use synran_sim::parallel::cohort::{self, CohortOutcome};
-use synran_sim::{parallel, Adversary, Bit, Passive, Process, SimError, Telemetry, World};
+use synran_sim::{parallel, Adversary, Bit, Passive, Process, SimError, SimRng, Telemetry, World};
 
 use crate::{Balancer, PreferenceKiller, RandomKiller};
 
@@ -256,14 +255,12 @@ pub fn classify_with(estimate: &ValencyEstimate, lo: f64, hi: f64) -> Valence {
 ///
 /// The `(probe, sample)` grid is evaluated on
 /// [`world.config().threads_value()`](synran_sim::SimConfig::threads)
-/// worker threads through the **lockstep cohort engine**
-/// ([`synran_sim::parallel::cohort`]): one shared snapshot, one pass per
-/// round across all forks, early retirement of decided/horizon-hit worlds,
-/// and one scratch arena per lane. Fork seeds are derived from the
-/// `(probe, sample)` index, never from execution order, so the estimate is
+/// worker threads through [`synran_sim::parallel::fork_eval`]: one bounded
+/// snapshot, each fork driven to decision or horizon independently. Fork
+/// seeds are derived from the `(probe, sample)` index
+/// ([`derive_seed_grid`]), never from execution order, so the estimate is
 /// **bit-for-bit identical for every thread count** (including the serial
-/// `threads = 1` path) *and* bit-identical to the per-fork reference path
-/// ([`estimate_valency_fork`]) — pinned by the cohort differential suite.
+/// `threads = 1` path) — pinned by `tests/valency_determinism.rs`.
 ///
 /// # Errors
 ///
@@ -294,59 +291,7 @@ where
     let _span = telemetry.span("valency.estimate");
     // One work unit per (probe, sample) pair, in the serial nested-loop
     // order. Seeds depend only on the pair's indices.
-    let fork_seeds = cohort::derive_seed_grid(seed, probes.len(), samples);
-    let outcomes = cohort::cohort_eval(
-        world,
-        world.config().threads_value(),
-        &fork_seeds,
-        horizon,
-        |unit, fork_seed| (probes.factories[unit / samples].1)(fork_seed),
-    )?;
-    let scored: Vec<(f64, bool)> = outcomes
-        .iter()
-        .map(|outcome| match outcome {
-            CohortOutcome::Finished(Some(Bit::One)) => (1.0, false),
-            CohortOutcome::Finished(Some(Bit::Zero)) => (0.0, false),
-            CohortOutcome::Finished(None) | CohortOutcome::HorizonHit => (0.5, true),
-        })
-        .collect();
-    Ok(reduce_outcomes(probes, samples, &scored, telemetry))
-}
-
-/// The per-fork reference estimator: drives every `(probe, sample)` fork
-/// to completion independently through
-/// [`synran_sim::parallel::fork_eval`], exactly as [`estimate_valency`]
-/// did before the cohort engine landed.
-///
-/// Kept callable as the **differential oracle**: the cohort path must
-/// produce byte-identical estimates to this one at every thread count
-/// (`crates/adversary/tests/cohort_equivalence.rs`, the tier-1 cohort
-/// smoke step, and `bench_valency` all pin it) — and it is the baseline
-/// the cohort's speedup is measured against.
-///
-/// # Errors
-///
-/// Same contract as [`estimate_valency`].
-///
-/// # Panics
-///
-/// Panics if `probes` is empty or `samples` is zero.
-pub fn estimate_valency_fork<P>(
-    world: &World<P>,
-    probes: &ProbeSet<P>,
-    samples: usize,
-    horizon: u32,
-    seed: u64,
-) -> Result<ValencyEstimate, SimError>
-where
-    P: Process + Clone + Send + Sync,
-    P::Msg: Send + Sync,
-{
-    assert!(!probes.is_empty(), "need at least one probe");
-    assert!(samples > 0, "need at least one sample per probe");
-    let telemetry = world.telemetry();
-    let _span = telemetry.span("valency.estimate");
-    let fork_seeds = cohort::derive_seed_grid(seed, probes.len(), samples);
+    let fork_seeds = derive_seed_grid(seed, probes.len(), samples);
     let outcomes = parallel::fork_eval(
         world,
         world.config().threads_value(),
@@ -378,8 +323,26 @@ where
     Ok(reduce_outcomes(probes, samples, &outcomes, telemetry))
 }
 
-/// Folds per-unit `(score, undecided)` outcomes into a [`ValencyEstimate`],
-/// shared by the cohort and per-fork engines so the two paths cannot drift.
+/// Derives the fork-seed grid for `groups × per_group` work units, in
+/// unit order.
+///
+/// Byte-identical to deriving
+/// `SimRng::new(seed).derive(unit / per_group).derive(unit % per_group).next_u64()`
+/// per unit, but each group's substream is derived once and swept,
+/// instead of re-deriving the full chain for every unit.
+fn derive_seed_grid(seed: u64, groups: usize, per_group: usize) -> Vec<u64> {
+    let seeder = SimRng::new(seed);
+    let mut out = Vec::with_capacity(groups * per_group);
+    for g in 0..groups {
+        let group_stream = seeder.derive(g as u64);
+        for s in 0..per_group {
+            out.push(group_stream.derive(s as u64).next_u64());
+        }
+    }
+    out
+}
+
+/// Folds per-unit `(score, undecided)` outcomes into a [`ValencyEstimate`].
 ///
 /// Reduces in unit order: float addition is not associative, so the fold
 /// must not depend on completion order. Probe-outcome counters are also
@@ -563,15 +526,17 @@ mod tests {
     }
 
     #[test]
-    fn cohort_and_fork_estimators_agree() {
-        // In-crate differential check (the full suite lives in
-        // tests/cohort_equivalence.rs): cohort vs per-fork reference,
-        // byte-identical via PartialEq on every f64.
-        let world = world_with_inputs(10, 5, 5, 7);
-        let probes = ProbeSet::synran(2);
-        let cohort = estimate_valency(&world, &probes, 4, 50, 13).unwrap();
-        let fork = estimate_valency_fork(&world, &probes, 4, 50, 13).unwrap();
-        assert_eq!(cohort, fork);
+    fn seed_grid_matches_per_unit_chain() {
+        let seeder = SimRng::new(0xABCD);
+        let per_unit: Vec<u64> = (0..4 * 7)
+            .map(|unit| {
+                seeder
+                    .derive((unit / 7) as u64)
+                    .derive((unit % 7) as u64)
+                    .next_u64()
+            })
+            .collect();
+        assert_eq!(derive_seed_grid(0xABCD, 4, 7), per_unit);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! `--smoke` shrinks every knob for CI: same rows, same identity
 //! assertions (that is the point), a fraction of the wall time.
 
+use std::path::Path;
 use std::time::Instant;
 
 use synran_adversary::{estimate_valency, Balancer, ProbeSet};
@@ -391,7 +392,7 @@ fn main() {
     .expect("valid config");
     world.set_telemetry(kill_hub.clone());
     let report = world.run(&mut Balancer::unbounded()).expect("run");
-    let jsonl_path = results_telemetry_path("bench_parallel");
+    let jsonl_path = results_telemetry_path(Path::new("results"), "bench_parallel");
     write_telemetry_jsonl(
         &jsonl_path,
         &[

@@ -11,6 +11,8 @@
 //! `synran report --format folded` aggregates; `--telemetry counters`
 //! (or `off`) restores the lighter modes.
 
+use std::path::Path;
+
 use synran_bench::Args;
 use synran_lab::presets::e3::{self, E3Params};
 use synran_lab::Engine;
@@ -34,5 +36,11 @@ fn main() {
         seed: args.get_u64("seed", 3),
     };
     let mut engine = Engine::new(args.get_usize("threads", 0), Telemetry::new(mode));
-    e3::run(&params, &mut engine, &mut std::io::stdout().lock()).expect("e3 failed");
+    e3::run(
+        &params,
+        &mut engine,
+        Path::new("results"),
+        &mut std::io::stdout().lock(),
+    )
+    .expect("e3 failed");
 }

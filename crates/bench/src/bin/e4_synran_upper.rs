@@ -8,6 +8,8 @@
 //! `results/e4_synran_upper.telemetry.jsonl` carries the representative
 //! run's counters; `--telemetry spans` (or `off`) picks the other modes.
 
+use std::path::Path;
+
 use synran_bench::Args;
 use synran_lab::presets::e4::{self, E4Params};
 use synran_lab::Engine;
@@ -30,5 +32,11 @@ fn main() {
         seed: args.get_u64("seed", 4),
     };
     let mut engine = Engine::new(args.get_usize("threads", 0), Telemetry::new(mode));
-    e4::run(&params, &mut engine, &mut std::io::stdout().lock()).expect("e4 failed");
+    e4::run(
+        &params,
+        &mut engine,
+        Path::new("results"),
+        &mut std::io::stdout().lock(),
+    )
+    .expect("e4 failed");
 }

@@ -12,6 +12,8 @@
 //!   back into coin-flipping), while SynRan's `Z = 0 → 1` rule makes
 //!   trimming a unanimous-1 population worthless.
 
+use std::path::Path;
+
 use synran_adversary::{Balancer, RandomKiller};
 use synran_analysis::{deterministic_rounds, fmt_f64, tight_bound_rounds, Table};
 use synran_bench::{banner, results_telemetry_path, section, write_telemetry_jsonl, Args};
@@ -253,7 +255,7 @@ fn main() {
         .expect("valid config");
         world.set_telemetry(hub.clone());
         let report = world.run(&mut Balancer::unbounded()).expect("engine error");
-        let path = results_telemetry_path("e5_protocol_comparison");
+        let path = results_telemetry_path(Path::new("results"), "e5_protocol_comparison");
         write_telemetry_jsonl(
             &path,
             &[

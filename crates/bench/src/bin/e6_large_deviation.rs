@@ -14,6 +14,8 @@
 //! `results/e6_large_deviation.telemetry.jsonl` carries the analysis
 //! counters; `--telemetry spans` (or `off`) picks the other modes.
 
+use std::path::Path;
+
 use synran_bench::Args;
 use synran_lab::presets::e6::{self, E6Params};
 use synran_lab::Engine;
@@ -31,5 +33,11 @@ fn main() {
         seed: args.get_u64("seed", 6),
     };
     let mut engine = Engine::new(args.get_usize("threads", 0), Telemetry::new(mode));
-    e6::run(&params, &mut engine, &mut std::io::stdout().lock()).expect("e6 failed");
+    e6::run(
+        &params,
+        &mut engine,
+        Path::new("results"),
+        &mut std::io::stdout().lock(),
+    )
+    .expect("e6 failed");
 }

@@ -8,6 +8,8 @@
 //! `results/e7_t_sweep.telemetry.jsonl` carries the representative run's
 //! counters; `--telemetry spans` (or `off`) picks the other modes.
 
+use std::path::Path;
+
 use synran_bench::Args;
 use synran_lab::presets::e7::{self, E7Params};
 use synran_lab::Engine;
@@ -30,5 +32,11 @@ fn main() {
         seed: args.get_u64("seed", 7),
     };
     let mut engine = Engine::new(args.get_usize("threads", 0), Telemetry::new(mode));
-    e7::run(&params, &mut engine, &mut std::io::stdout().lock()).expect("e7 failed");
+    e7::run(
+        &params,
+        &mut engine,
+        Path::new("results"),
+        &mut std::io::stdout().lock(),
+    )
+    .expect("e7 failed");
 }

@@ -8,6 +8,8 @@
 //! the population halves — plus an ablation of the balancer's per-round
 //! cap, which should reduce both spend *and* stalling power together.
 
+use std::path::Path;
+
 use synran_adversary::Balancer;
 use synran_analysis::{fmt_f64, Accumulator, Table};
 use synran_bench::{banner, results_telemetry_path, section, write_telemetry_jsonl, Args};
@@ -171,7 +173,7 @@ fn main() {
         &telemetry,
     )
     .expect("engine error");
-    let path = results_telemetry_path("e8_budget_ablation");
+    let path = results_telemetry_path(Path::new("results"), "e8_budget_ablation");
     write_telemetry_jsonl(
         &path,
         &[

@@ -14,11 +14,12 @@ use synran_sim::telemetry::per_round_kill_cap;
 use synran_sim::{JsonlSink, Round, Telemetry, TelemetryEvent, TelemetrySink};
 
 /// The conventional telemetry JSONL path for an experiment binary:
-/// `results/<bin>.telemetry.jsonl` (next to the experiment's `.txt`
-/// results, per EXPERIMENTS.md).
+/// `<results_dir>/<bin>.telemetry.jsonl` (next to the experiment's `.txt`
+/// results, per EXPERIMENTS.md). The experiment binaries pass `results`;
+/// `synran campaign run` passes its `--results-dir`.
 #[must_use]
-pub fn results_telemetry_path(bin: &str) -> PathBuf {
-    Path::new("results").join(format!("{bin}.telemetry.jsonl"))
+pub fn results_telemetry_path(results_dir: &Path, bin: &str) -> PathBuf {
+    results_dir.join(format!("{bin}.telemetry.jsonl"))
 }
 
 /// Writes an experiment's telemetry as JSONL: `meta` attribution lines,
@@ -79,7 +80,7 @@ mod tests {
     #[test]
     fn conventional_path_shape() {
         assert_eq!(
-            results_telemetry_path("e3_lower_bound"),
+            results_telemetry_path(Path::new("results"), "e3_lower_bound"),
             Path::new("results/e3_lower_bound.telemetry.jsonl")
         );
     }

@@ -175,22 +175,13 @@ impl CellResult {
 /// the result), matching the telemetry sink conventions.
 #[must_use]
 pub fn to_jsonl(cell: &Cell, result: &CellResult) -> String {
+    let rounds: Vec<u64> = result.rounds.iter().map(|&r| u64::from(r)).collect();
     format!(
-        "{{\"type\":\"cell\",\"hash\":\"{}\",{},{}}}",
-        cell.content_hash(),
-        cell_fields_json(cell),
-        result_fields_json(result),
-    )
-}
-
-/// The cell fields as a comma-joined flat-JSON fragment in declaration
-/// order (no surrounding braces). Shared by [`to_jsonl`] and the fleet
-/// wire protocol so a cell serialises identically on both paths.
-pub(crate) fn cell_fields_json(cell: &Cell) -> String {
-    format!(
-        "\"protocol\":\"{}\",\"adversary\":\"{}\",\
+        "{{\"type\":\"cell\",\"hash\":\"{}\",\"protocol\":\"{}\",\"adversary\":\"{}\",\
          \"n\":{},\"t\":{},\"ones\":{},\"runs\":{},\"seed\":{},\"max_rounds\":{},\
-         \"cap\":{},\"samples\":{},\"horizon\":{},\"rate\":{}",
+         \"cap\":{},\"samples\":{},\"horizon\":{},\"rate\":{},\
+         \"rounds\":{},\"kills\":{},\"timeouts\":{},\"violations\":{}}}",
+        cell.content_hash(),
         cell.protocol,
         cell.adversary,
         cell.n,
@@ -203,58 +194,11 @@ pub(crate) fn cell_fields_json(cell: &Cell) -> String {
         cell.samples,
         cell.horizon,
         cell.rate,
-    )
-}
-
-/// The result fields as a comma-joined flat-JSON fragment (no surrounding
-/// braces), the dual of [`cell_fields_json`].
-pub(crate) fn result_fields_json(result: &CellResult) -> String {
-    format!(
-        "\"rounds\":{},\"kills\":{},\"timeouts\":{},\"violations\":{}",
-        u64_array_json(&self_rounds(result)),
+        u64_array_json(&rounds),
         u64_array_json(&result.kills),
         result.timeouts,
         result.violations,
     )
-}
-
-/// Decodes the cell fields out of any flat JSON object that embeds the
-/// [`cell_fields_json`] fragment. Shared by [`from_jsonl`] and the fleet
-/// wire protocol.
-pub(crate) fn cell_from_flat_json(line: &str) -> Option<Cell> {
-    Some(Cell {
-        protocol: json_str_field(line, "protocol")?.to_string(),
-        adversary: json_str_field(line, "adversary")?.to_string(),
-        n: usize::try_from(json_u64_field(line, "n")?).ok()?,
-        t: usize::try_from(json_u64_field(line, "t")?).ok()?,
-        ones: usize::try_from(json_u64_field(line, "ones")?).ok()?,
-        runs: usize::try_from(json_u64_field(line, "runs")?).ok()?,
-        seed: json_u64_field(line, "seed")?,
-        max_rounds: u32::try_from(json_u64_field(line, "max_rounds")?).ok()?,
-        cap: usize::try_from(json_u64_field(line, "cap")?).ok()?,
-        samples: usize::try_from(json_u64_field(line, "samples")?).ok()?,
-        horizon: u32::try_from(json_u64_field(line, "horizon")?).ok()?,
-        rate: usize::try_from(json_u64_field(line, "rate")?).ok()?,
-    })
-}
-
-/// Decodes the result fields out of any flat JSON object that embeds the
-/// [`result_fields_json`] fragment.
-pub(crate) fn result_from_flat_json(line: &str) -> Option<CellResult> {
-    let rounds_u64 = json_u64_array_field(line, "rounds")?;
-    Some(CellResult {
-        rounds: rounds_u64
-            .iter()
-            .map(|&r| u32::try_from(r).ok())
-            .collect::<Option<Vec<u32>>>()?,
-        kills: json_u64_array_field(line, "kills")?,
-        timeouts: u32::try_from(json_u64_field(line, "timeouts")?).ok()?,
-        violations: u32::try_from(json_u64_field(line, "violations")?).ok()?,
-    })
-}
-
-fn self_rounds(result: &CellResult) -> Vec<u64> {
-    result.rounds.iter().map(|&r| u64::from(r)).collect()
 }
 
 fn u64_array_json(values: &[u64]) -> String {
@@ -286,8 +230,29 @@ pub fn from_jsonl(line: &str) -> Option<(String, Cell, CellResult)> {
         return None;
     }
     let hash = json_str_field(line, "hash")?.to_string();
-    let cell = cell_from_flat_json(line)?;
-    let result = result_from_flat_json(line)?;
+    let cell = Cell {
+        protocol: json_str_field(line, "protocol")?.to_string(),
+        adversary: json_str_field(line, "adversary")?.to_string(),
+        n: usize::try_from(json_u64_field(line, "n")?).ok()?,
+        t: usize::try_from(json_u64_field(line, "t")?).ok()?,
+        ones: usize::try_from(json_u64_field(line, "ones")?).ok()?,
+        runs: usize::try_from(json_u64_field(line, "runs")?).ok()?,
+        seed: json_u64_field(line, "seed")?,
+        max_rounds: u32::try_from(json_u64_field(line, "max_rounds")?).ok()?,
+        cap: usize::try_from(json_u64_field(line, "cap")?).ok()?,
+        samples: usize::try_from(json_u64_field(line, "samples")?).ok()?,
+        horizon: u32::try_from(json_u64_field(line, "horizon")?).ok()?,
+        rate: usize::try_from(json_u64_field(line, "rate")?).ok()?,
+    };
+    let result = CellResult {
+        rounds: json_u64_array_field(line, "rounds")?
+            .iter()
+            .map(|&r| u32::try_from(r).ok())
+            .collect::<Option<Vec<u32>>>()?,
+        kills: json_u64_array_field(line, "kills")?,
+        timeouts: u32::try_from(json_u64_field(line, "timeouts")?).ok()?,
+        violations: u32::try_from(json_u64_field(line, "violations")?).ok()?,
+    };
     Some((hash, cell, result))
 }
 

@@ -54,8 +54,8 @@ pub struct JournalScan {
     /// The last `"type":"campaign"` header, if any.
     pub header: Option<JournalHeader>,
     /// Distinct cells in first-appearance order, **last line wins** per
-    /// hash — a crash-retried fleet run may append the same cell twice,
-    /// and the re-run's line supersedes. This is the row list `synran
+    /// hash — two runs appending to one journal may write the same cell
+    /// twice, and the later line supersedes. This is the row list `synran
     /// report` renders into a per-cell table.
     pub rows: Vec<(Cell, CellResult)>,
 }
@@ -307,9 +307,9 @@ mod tests {
 
     #[test]
     fn duplicate_cell_lines_keep_one_row_last_wins() {
-        // A crash-retried fleet run can append the same cell twice: once
-        // before the kill, once after resume. The scan must surface one
-        // row per distinct cell, carrying the *last* line's result.
+        // Two runs appending to one journal can write the same cell
+        // twice. The scan must surface one row per distinct cell,
+        // carrying the *last* line's result.
         let path = tmpdir("dup").join("demo.journal.jsonl");
         let mut text = String::new();
         text.push_str(&to_jsonl(&cell(1), &result(4)));

@@ -7,6 +7,7 @@
 //! (`run_batch` semantics), which is what makes the equivalence hold.
 
 use std::io::Write;
+use std::path::Path;
 
 use synran_adversary::{find_adversarial_input, LowerBoundAdversary};
 use synran_analysis::{fmt_f64, lower_bound_rounds, ShapeFit, Summary, Table};
@@ -15,8 +16,8 @@ use synran_sim::{SimConfig, SimRng};
 
 use crate::artifact::{results_telemetry_path, write_telemetry_jsonl};
 use crate::cell::{Cell, CellResult};
-use crate::engine::CellRunner;
-use crate::presets::{banner, section};
+use crate::engine::Engine;
+use crate::presets::{banner, section, sizes_from_spec};
 use crate::spec::CampaignSpec;
 use crate::LabError;
 
@@ -61,13 +62,10 @@ impl E3Params {
     ///
     /// # Errors
     ///
-    /// Returns [`LabError::Spec`] for unparseable values.
+    /// Returns [`LabError::Spec`] for unparseable values or a size below 2.
     pub fn from_spec(spec: &CampaignSpec) -> Result<E3Params, LabError> {
         Ok(E3Params {
-            sizes: match spec.sweep("n") {
-                Some(_) => spec.sweep_usize("n")?,
-                None => DEFAULT_SIZES.to_vec(),
-            },
+            sizes: sizes_from_spec(spec, &DEFAULT_SIZES)?,
             runs: spec.param_usize("runs", 8)?,
             samples: spec.param_usize("samples", 3)?,
             seed: spec.param_u64("seed", 3)?,
@@ -128,7 +126,8 @@ fn stats(cell: &Cell, result: &CellResult) -> (f64, f64, f64) {
     (s.mean(), s.ci95_halfwidth(), k.mean())
 }
 
-/// Runs E3 on `runner` and renders the binary's exact output into `out`.
+/// Runs E3 on `engine` and renders the binary's exact output into `out`,
+/// writing the telemetry artifact under `results_dir`.
 ///
 /// # Errors
 ///
@@ -140,7 +139,8 @@ fn stats(cell: &Cell, result: &CellResult) -> (f64, f64, f64) {
 )]
 pub fn run(
     params: &E3Params,
-    runner: &mut dyn CellRunner,
+    engine: &mut Engine,
+    results_dir: &Path,
     out: &mut dyn Write,
 ) -> Result<(), LabError> {
     let E3Params {
@@ -150,7 +150,7 @@ pub fn run(
         seed,
     } = params.clone();
     let cells = params.cells();
-    let results = runner.run_cells(&cells)?;
+    let results = engine.run_cells(&cells)?;
     let mut slots = cells.iter().zip(&results);
 
     banner(
@@ -267,9 +267,9 @@ pub fn run(
             .seed(rep_seed)
             .max_rounds(100_000),
         &mut rep_adv,
-        runner.telemetry(),
+        engine.telemetry(),
     )?;
-    let path = results_telemetry_path("e3_lower_bound");
+    let path = results_telemetry_path(results_dir, "e3_lower_bound");
     write_telemetry_jsonl(
         &path,
         &[
@@ -281,7 +281,7 @@ pub fn run(
             ("seed", seed.to_string()),
             ("runs", runs.to_string()),
         ],
-        runner.telemetry(),
+        engine.telemetry(),
         rep_verdict.report().metrics().kills_per_round(),
         rep_n,
     )?;

@@ -7,6 +7,7 @@
 //! rendered table is byte-identical.
 
 use std::io::Write;
+use std::path::Path;
 
 use synran_adversary::Balancer;
 use synran_analysis::{fmt_f64, tight_bound_rounds, ShapeFit, Table};
@@ -15,8 +16,8 @@ use synran_sim::{SimConfig, SimRng};
 
 use crate::artifact::{results_telemetry_path, write_telemetry_jsonl};
 use crate::cell::{Cell, CellResult};
-use crate::engine::CellRunner;
-use crate::presets::{banner, section};
+use crate::engine::Engine;
+use crate::presets::{banner, section, sizes_from_spec};
 use crate::spec::CampaignSpec;
 use crate::LabError;
 
@@ -51,13 +52,10 @@ impl E4Params {
     ///
     /// # Errors
     ///
-    /// Returns [`LabError::Spec`] for unparseable values.
+    /// Returns [`LabError::Spec`] for unparseable values or a size below 2.
     pub fn from_spec(spec: &CampaignSpec) -> Result<E4Params, LabError> {
         Ok(E4Params {
-            sizes: match spec.sweep("n") {
-                Some(_) => spec.sweep_usize("n")?,
-                None => DEFAULT_SIZES.to_vec(),
-            },
+            sizes: sizes_from_spec(spec, &DEFAULT_SIZES)?,
             runs: spec.param_usize("runs", 30)?,
             seed: spec.param_u64("seed", 4)?,
         })
@@ -80,19 +78,21 @@ impl E4Params {
     }
 }
 
-/// Runs E4 on `runner` and renders the binary's exact output into `out`.
+/// Runs E4 on `engine` and renders the binary's exact output into `out`,
+/// writing the telemetry artifact under `results_dir`.
 ///
 /// # Errors
 ///
 /// Propagates execution and I/O errors.
 pub fn run(
     params: &E4Params,
-    runner: &mut dyn CellRunner,
+    engine: &mut Engine,
+    results_dir: &Path,
     out: &mut dyn Write,
 ) -> Result<(), LabError> {
     let runs = params.runs;
     let cells = params.cells();
-    let results = runner.run_cells(&cells)?;
+    let results = engine.run_cells(&cells)?;
     let mut slots = cells.iter().zip(&results);
 
     banner(
@@ -172,9 +172,9 @@ pub fn run(
             .seed(rep_seed)
             .max_rounds(200_000),
         &mut rep_adv,
-        runner.telemetry(),
+        engine.telemetry(),
     )?;
-    let path = results_telemetry_path("e4_synran_upper");
+    let path = results_telemetry_path(results_dir, "e4_synran_upper");
     write_telemetry_jsonl(
         &path,
         &[
@@ -185,7 +185,7 @@ pub fn run(
             ("seed", params.seed.to_string()),
             ("runs", runs.to_string()),
         ],
-        runner.telemetry(),
+        engine.telemetry(),
         rep_verdict.report().metrics().kills_per_round(),
         rep_n,
     )?;

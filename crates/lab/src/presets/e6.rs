@@ -11,13 +11,14 @@
 //! `campaign status` / `synran report` integration.
 
 use std::io::Write;
+use std::path::Path;
 
 use synran_analysis::{corollary_4_5, fmt_f64, lemma_4_4_bound, Binomial, Table};
 use synran_sim::SimRng;
 
 use crate::artifact::{results_telemetry_path, write_telemetry_jsonl};
 use crate::cell::Cell;
-use crate::engine::CellRunner;
+use crate::engine::Engine;
 use crate::presets::{banner, section};
 use crate::spec::CampaignSpec;
 use crate::LabError;
@@ -86,7 +87,8 @@ fn monte_carlo_tail(n: usize, deviation: f64, trials: usize, rng: &mut SimRng) -
     hits as f64 / trials as f64
 }
 
-/// Runs E6 on `runner` and renders the binary's exact output into `out`.
+/// Runs E6 on `engine` and renders the binary's exact output into `out`,
+/// writing the telemetry artifact under `results_dir`.
 ///
 /// # Errors
 ///
@@ -94,14 +96,14 @@ fn monte_carlo_tail(n: usize, deviation: f64, trials: usize, rng: &mut SimRng) -
 #[allow(clippy::cast_precision_loss)]
 pub fn run(
     params: &E6Params,
-    runner: &mut dyn CellRunner,
+    engine: &mut Engine,
+    results_dir: &Path,
     out: &mut dyn Write,
 ) -> Result<(), LabError> {
     // No cells — but running the empty list keeps the journal/cache
-    // bookkeeping identical to every other preset (and is a no-op under
-    // the fleet: nothing pending, nothing spawned).
-    runner.run_cells(&params.cells())?;
-    let telemetry = runner.telemetry();
+    // bookkeeping identical to every other preset.
+    engine.run_cells(&params.cells())?;
+    let telemetry = engine.telemetry();
 
     banner(
         out,
@@ -191,7 +193,7 @@ pub fn run(
     // Telemetry artifact: the analysis counters. No consensus runs here,
     // so there is no per-round kill series — `n` only scales the (unused)
     // cap annotation.
-    let path = results_telemetry_path("e6_large_deviation");
+    let path = results_telemetry_path(results_dir, "e6_large_deviation");
     write_telemetry_jsonl(
         &path,
         &[
@@ -235,9 +237,11 @@ mod tests {
             trials: 50, // tiny MC so the test stays fast
             seed: 6,
         };
+        let results_dir =
+            std::env::temp_dir().join(format!("synran-lab-e6-render-{}", std::process::id()));
         let mut engine = Engine::new(1, Telemetry::new(TelemetryMode::Counters));
         let mut out = Vec::new();
-        run(&params, &mut engine, &mut out).unwrap();
+        run(&params, &mut engine, &results_dir, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("=== E6 large-deviation bound"), "{text}");
         assert!(text.contains("violations: 0 (expected 0)"), "{text}");
@@ -248,7 +252,9 @@ mod tests {
         let snap = engine.telemetry().snapshot();
         assert_eq!(snap.counter("e6.lemma44.points"), Some(29));
         assert_eq!(snap.counter("e6.lemma44.violations"), Some(0));
-        let _ = std::fs::remove_file("results/e6_large_deviation.telemetry.jsonl");
-        let _ = std::fs::remove_dir("results");
+        assert!(results_dir
+            .join("e6_large_deviation.telemetry.jsonl")
+            .is_file());
+        let _ = std::fs::remove_dir_all(&results_dir);
     }
 }

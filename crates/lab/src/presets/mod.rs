@@ -12,11 +12,12 @@
 //! output.
 
 use std::io::Write;
+use std::path::Path;
 
 use synran_analysis::{fmt_f64, Table};
 
 use crate::cell::Cell;
-use crate::engine::CellRunner;
+use crate::engine::Engine;
 use crate::registry::validate_cell;
 use crate::spec::CampaignSpec;
 use crate::LabError;
@@ -68,25 +69,49 @@ pub fn campaign_cells(spec: &CampaignSpec) -> Result<Vec<Cell>, LabError> {
     }
 }
 
+/// The `sweep n` axis of an experiment preset, or `default` when the spec
+/// has none. Every size must be at least 2: the presets fit curves over
+/// `t ≤ n − 1`, which is degenerate below that.
+///
+/// # Errors
+///
+/// Returns [`LabError::Spec`] for unparseable values or a size below 2.
+pub(crate) fn sizes_from_spec(
+    spec: &CampaignSpec,
+    default: &[usize],
+) -> Result<Vec<usize>, LabError> {
+    let sizes = match spec.sweep("n") {
+        Some(_) => spec.sweep_usize("n")?,
+        None => default.to_vec(),
+    };
+    if let Some(n) = sizes.iter().find(|&&n| n < 2) {
+        return Err(LabError::Spec(format!(
+            "experiment {} needs every n >= 2, got n = {n}",
+            spec.experiment()
+        )));
+    }
+    Ok(sizes)
+}
+
 /// Runs a campaign end-to-end: expands the spec, executes its cells on
-/// `runner` (the in-process engine or a process fleet — output is
-/// byte-identical either way), and renders with the experiment's
-/// renderer into `out`.
+/// `engine`, renders with the experiment's renderer into `out`, and
+/// writes any telemetry artifact under `results_dir`.
 ///
 /// # Errors
 ///
 /// Propagates spec, execution, and rendering errors.
 pub fn run_campaign(
     spec: &CampaignSpec,
-    runner: &mut dyn CellRunner,
+    engine: &mut Engine,
+    results_dir: &Path,
     out: &mut dyn Write,
 ) -> Result<(), LabError> {
     match spec.experiment() {
-        "grid" => run_grid(spec, runner, out),
-        "e3" => e3::run(&e3::E3Params::from_spec(spec)?, runner, out),
-        "e4" => e4::run(&e4::E4Params::from_spec(spec)?, runner, out),
-        "e6" => e6::run(&e6::E6Params::from_spec(spec)?, runner, out),
-        "e7" => e7::run(&e7::E7Params::from_spec(spec)?, runner, out),
+        "grid" => run_grid(spec, engine, out),
+        "e3" => e3::run(&e3::E3Params::from_spec(spec)?, engine, results_dir, out),
+        "e4" => e4::run(&e4::E4Params::from_spec(spec)?, engine, results_dir, out),
+        "e6" => e6::run(&e6::E6Params::from_spec(spec)?, engine, results_dir, out),
+        "e7" => e7::run(&e7::E7Params::from_spec(spec)?, engine, results_dir, out),
         other => Err(LabError::Spec(format!(
             "unknown experiment {other:?} (expected grid, e3, e4, e6, or e7)"
         ))),
@@ -94,16 +119,12 @@ pub fn run_campaign(
 }
 
 /// The generic renderer: one table row per cell, in cell order.
-fn run_grid(
-    spec: &CampaignSpec,
-    runner: &mut dyn CellRunner,
-    out: &mut dyn Write,
-) -> Result<(), LabError> {
+fn run_grid(spec: &CampaignSpec, engine: &mut Engine, out: &mut dyn Write) -> Result<(), LabError> {
     let cells = spec.expand_grid()?;
     for cell in &cells {
         validate_cell(cell)?;
     }
-    let results = runner.run_cells(&cells)?;
+    let results = engine.run_cells(&cells)?;
     writeln!(
         out,
         "=== campaign {} (grid, {} cells) ===",
@@ -161,7 +182,7 @@ mod tests {
         .unwrap();
         let mut engine = Engine::new(1, Telemetry::off());
         let mut out = Vec::new();
-        run_campaign(&spec, &mut engine, &mut out).unwrap();
+        run_campaign(&spec, &mut engine, Path::new("results"), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("campaign demo (grid, 2 cells)"), "{text}");
         assert_eq!(text.matches("balancer").count(), 2, "{text}");
@@ -173,14 +194,15 @@ mod tests {
         let spec = CampaignSpec::parse("experiment = e99\nn = 8\n", "x").unwrap();
         assert!(campaign_cells(&spec).is_err());
         let mut engine = Engine::new(1, Telemetry::off());
-        assert!(run_campaign(&spec, &mut engine, &mut Vec::new()).is_err());
+        assert!(run_campaign(&spec, &mut engine, Path::new("results"), &mut Vec::new()).is_err());
     }
 
     #[test]
     fn grid_rejects_bad_names_before_running() {
         let spec = CampaignSpec::parse("adversary = flubber\nn = 8\n", "x").unwrap();
         let mut engine = Engine::new(1, Telemetry::off());
-        let err = run_campaign(&spec, &mut engine, &mut Vec::new()).unwrap_err();
+        let err =
+            run_campaign(&spec, &mut engine, Path::new("results"), &mut Vec::new()).unwrap_err();
         assert!(err.to_string().contains("flubber"), "{err}");
         assert_eq!(engine.executed(), 0);
     }

@@ -25,17 +25,23 @@ fn spec_path_and_binary_path_render_identical_bytes() {
         seed: 3,
     };
 
+    // Both paths write their telemetry artifact into the same scratch
+    // results directory, so the rendered `telemetry:` lines agree.
+    let results_dir =
+        std::env::temp_dir().join(format!("synran-lab-e3-parity-{}", std::process::id()));
+
     // The campaign path: serial, counters-mode telemetry (as the shipped
     // spec asks for).
     let mut via_spec = Vec::new();
     let mut spec_engine = Engine::new(1, Telemetry::new(TelemetryMode::Counters));
-    presets::run_campaign(&spec, &mut spec_engine, &mut via_spec).unwrap();
+    presets::run_campaign(&spec, &mut spec_engine, &results_dir, &mut via_spec).unwrap();
+    assert!(results_dir.join("e3_lower_bound.telemetry.jsonl").exists());
 
     // The binary path: explicit params, eight worker threads, telemetry
     // off — none of which may change a byte of the rendered tables.
     let mut via_params = Vec::new();
     let mut bin_engine = Engine::new(8, Telemetry::off());
-    presets::e3::run(&params, &mut bin_engine, &mut via_params).unwrap();
+    presets::e3::run(&params, &mut bin_engine, &results_dir, &mut via_params).unwrap();
 
     assert_eq!(
         String::from_utf8(via_spec).unwrap(),
@@ -43,8 +49,5 @@ fn spec_path_and_binary_path_render_identical_bytes() {
     );
     assert_eq!(spec_engine.executed(), bin_engine.executed());
 
-    // The render writes the conventional telemetry artifact relative to
-    // the working directory; keep the test tree clean.
-    let _ = std::fs::remove_file("results/e3_lower_bound.telemetry.jsonl");
-    let _ = std::fs::remove_dir("results");
+    let _ = std::fs::remove_dir_all(&results_dir);
 }

@@ -42,7 +42,9 @@ fn render(threads: usize, journal: Option<&Path>) -> Vec<u8> {
         None => Engine::new(threads, Telemetry::off()),
     };
     let mut out = Vec::new();
-    presets::run_campaign(&spec(), &mut engine, &mut out).unwrap();
+    // A grid campaign writes no telemetry artifact, so the results
+    // directory is never touched.
+    presets::run_campaign(&spec(), &mut engine, Path::new("results"), &mut out).unwrap();
     out
 }
 
@@ -117,7 +119,7 @@ fn imported_journal_short_circuits_a_sibling_campaign() {
     let mut engine = Engine::new(4, Telemetry::off());
     assert_eq!(engine.import_cache(&donor).unwrap(), 6);
     let mut out = Vec::new();
-    presets::run_campaign(&spec(), &mut engine, &mut out).unwrap();
+    presets::run_campaign(&spec(), &mut engine, Path::new("results"), &mut out).unwrap();
     assert_eq!(out, baseline);
     assert_eq!(engine.executed(), 0, "fully served from the import");
     assert_eq!(engine.cache_hits(), 6);

@@ -40,8 +40,6 @@
 //! finished. Which thread ran a chunk is unobservable; *that* chunk `w`
 //! ran indices `[w·chunk, min((w+1)·chunk, total))` is guaranteed.
 
-pub mod cohort;
-
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

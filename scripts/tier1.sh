@@ -94,29 +94,12 @@ grep -q '"reused_gt_spawned": true' "$pool_dir/pool.json" \
     || { echo "pool did not re-use threads across batches"; exit 1; }
 echo "worker-pool smoke OK: $rows/$rows rows identical at threads {1,2,8}, pool re-used"
 
-echo "== tier1: cohort valency smoke test =="
-# The lockstep cohort engine behind estimate_valency must stay
-# byte-identical to the per-fork reference path at threads 1, 2, and 8 on
-# every row, and must observe early retirement on the counters pass (the
-# binary asserts both and exits non-zero on divergence). Run in a scratch
-# dir so the smoke artifact never clobbers the committed BENCH_valency.json.
-cohort_dir="$(mktemp -d /tmp/synran-bench-valency.XXXXXX)"
-trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$cohort_dir"' EXIT
-(cd "$cohort_dir" && "$OLDPWD/target/release/bench_valency" --smoke --out valency.json >/dev/null)
-vrows="$(grep -c '"group"' "$cohort_dir/valency.json")"
-vmatches="$(grep -c '"identical": true' "$cohort_dir/valency.json")"
-[ "$vrows" -gt 0 ] && [ "$vrows" -eq "$vmatches" ] \
-    || { echo "cohort differential failed: $vmatches/$vrows rows identical"; exit 1; }
-grep -q '"retirement_observed": true' "$cohort_dir/valency.json" \
-    || { echo "cohort never retired a world early"; exit 1; }
-echo "cohort smoke OK: $vrows/$vrows rows identical to the per-fork path at threads {1,2,8}"
-
 echo "== tier1: campaign smoke test =="
 # End-to-end contract of the campaign engine: run a small grid campaign,
 # simulate a crash by truncating the journal mid-file, resume at a
 # different thread count, and require byte-identical rendered output.
 campaign_dir="$(mktemp -d /tmp/synran-campaign.XXXXXX)"
-trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$cohort_dir" "$campaign_dir"' EXIT
+trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$campaign_dir"' EXIT
 cat > "$campaign_dir/smoke.campaign" <<'EOF'
 campaign  = smoke
 adversary = balancer
@@ -144,115 +127,22 @@ grep -q "0 pending" <<< "$status_out" \
     || { echo "campaign status shows pending cells after resume"; exit 1; }
 echo "campaign resume OK: serial and resumed output byte-identical"
 
-echo "== tier1: fleet smoke test =="
-# End-to-end contract of the multi-process fleet: `--procs 2` must produce
-# the same stdout and a byte-identical journal as the in-process engine —
-# including under an injected worker panic — and a kill -9'd supervisor
-# must resume to the same rendered output with every cell journalled.
-fleet_dir="$(mktemp -d /tmp/synran-fleet.XXXXXX)"
-trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$cohort_dir" "$campaign_dir" "$fleet_dir"' EXIT
-cat > "$fleet_dir/fsmoke.campaign" <<'EOF'
-campaign  = fsmoke
-adversary = balancer
-runs      = 3
-seed      = 5
-sweep n   = 8,10,12,14
-sweep t   = half,max
-EOF
-synran_bin="$OLDPWD/target/release/synran"
-(cd "$fleet_dir" && "$synran_bin" campaign run fsmoke.campaign \
-    --results-dir serial > serial.txt 2>/dev/null)
-# Parity under an injected worker panic: the worker running cell 1 dies,
-# the supervisor re-leases, and nothing observable changes.
-(cd "$fleet_dir" && SYNRAN_FLEET_FAULT=panic:cell=1 "$synran_bin" campaign run \
-    fsmoke.campaign --procs 2 --results-dir fleet > fleet.txt 2>/dev/null)
-diff "$fleet_dir/serial.txt" "$fleet_dir/fleet.txt" \
-    || { echo "fleet stdout diverged from the engine"; exit 1; }
-cmp "$fleet_dir/serial/fsmoke.journal.jsonl" "$fleet_dir/fleet/fsmoke.journal.jsonl" \
-    || { echo "fleet journal diverged from the engine"; exit 1; }
-[ ! -e "$fleet_dir/fleet/fsmoke.fleet.jsonl" ] \
-    || { echo "fleet sidecar survived a clean run"; exit 1; }
-# Crash-resume: kill -9 the supervisor mid-campaign, then resume with the
-# fleet again. The resumed output must match serial byte-for-byte and the
-# journal must end up with the same cell lines.
-(cd "$fleet_dir" && exec "$synran_bin" campaign run fsmoke.campaign --procs 2 \
-    --results-dir crash > crash.txt 2>/dev/null) &
-supervisor_pid=$!
-sleep 0.2
-kill -9 "$supervisor_pid" 2>/dev/null || true
-wait "$supervisor_pid" 2>/dev/null || true
-pkill -9 -f "$synran_bin campaign worker" 2>/dev/null || true
-(cd "$fleet_dir" && "$synran_bin" campaign resume fsmoke.campaign --procs 2 \
-    --results-dir crash > resumed.txt 2>/dev/null)
-diff "$fleet_dir/serial.txt" "$fleet_dir/resumed.txt" \
-    || { echo "fleet crash-resume output diverged"; exit 1; }
-# The crash journal may carry a second header and (at worst) duplicate
-# cell lines from a kill between append and resume bookkeeping, but its
-# *set* of cell lines must equal the serial journal's.
-diff <(grep '"type":"cell"' "$fleet_dir/serial/fsmoke.journal.jsonl" | sort -u) \
-     <(grep '"type":"cell"' "$fleet_dir/crash/fsmoke.journal.jsonl" | sort -u) \
-    || { echo "fleet crash-resume journal cell lines diverged"; exit 1; }
-status_out="$("$synran_bin" campaign status "$fleet_dir/fsmoke.campaign" \
-    --results-dir "$fleet_dir/crash")"
-grep -q "0 pending" <<< "$status_out" \
-    || { echo "campaign status shows pending cells after fleet resume"; exit 1; }
-echo "fleet smoke OK: --procs 2 byte-identical (incl. injected panic), kill -9 resume converges"
-
-echo "== tier1: fleet TCP smoke test =="
-# The network transport must be invisible: a campaign served by a
-# loopback `campaign agent` (mixed with one local pipe slot) must be
-# byte-identical to the in-process engine, and an agent that severs its
-# connection mid-cell must be reconnected and converge to the same
-# output. Reuses the fleet smoke's spec and serial baseline.
-SYNRAN_FLEET_TOKEN=tier1-secret "$synran_bin" campaign agent \
-    --listen 127.0.0.1:0 --port-file "$fleet_dir/agent.port" 2>/dev/null &
-agent_pid=$!
-SYNRAN_FLEET_TOKEN=tier1-secret SYNRAN_FLEET_FAULT=drop_conn "$synran_bin" campaign agent \
-    --listen 127.0.0.1:0 --port-file "$fleet_dir/agent2.port" 2>/dev/null &
-drop_agent_pid=$!
-trap 'kill "$agent_pid" "$drop_agent_pid" 2>/dev/null || true; rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$cohort_dir" "$campaign_dir" "$fleet_dir"' EXIT
-for _ in $(seq 1 100); do
-    [ -s "$fleet_dir/agent.port" ] && [ -s "$fleet_dir/agent2.port" ] && break
-    sleep 0.1
-done
-[ -s "$fleet_dir/agent.port" ] && [ -s "$fleet_dir/agent2.port" ] \
-    || { echo "campaign agent never wrote its port file"; exit 1; }
-agent_addr="$(cat "$fleet_dir/agent.port")"
-drop_agent_addr="$(cat "$fleet_dir/agent2.port")"
-(cd "$fleet_dir" && "$synran_bin" campaign run fsmoke.campaign \
-    --workers "$agent_addr,local:1" --token tier1-secret \
-    --results-dir tcp > tcp.txt 2>/dev/null)
-diff "$fleet_dir/serial.txt" "$fleet_dir/tcp.txt" \
-    || { echo "TCP fleet stdout diverged from the engine"; exit 1; }
-cmp "$fleet_dir/serial/fsmoke.journal.jsonl" "$fleet_dir/tcp/fsmoke.journal.jsonl" \
-    || { echo "TCP fleet journal diverged from the engine"; exit 1; }
-[ ! -e "$fleet_dir/tcp/fsmoke.fleet.jsonl" ] \
-    || { echo "TCP fleet sidecar survived a clean run"; exit 1; }
-# Dropped connection mid-cell: the faulted agent severs its socket on the
-# first lease of cell 0 (attempt 0 only); the supervisor's backoff
-# reconnect must find the same agent and retry to identical output.
-(cd "$fleet_dir" && SYNRAN_FLEET_BACKOFF_MS=50 "$synran_bin" campaign run fsmoke.campaign \
-    --workers "$drop_agent_addr" --token tier1-secret \
-    --results-dir tcpdrop > tcpdrop.txt 2>/dev/null)
-diff "$fleet_dir/serial.txt" "$fleet_dir/tcpdrop.txt" \
-    || { echo "TCP drop_conn re-run output diverged"; exit 1; }
-cmp "$fleet_dir/serial/fsmoke.journal.jsonl" "$fleet_dir/tcpdrop/fsmoke.journal.jsonl" \
-    || { echo "TCP drop_conn re-run journal diverged"; exit 1; }
-echo "fleet TCP smoke OK: loopback agent byte-identical (mixed remote+local), drop_conn reconnect converges"
-
 echo "== tier1: committed journals regenerate =="
 # Every shipped campaign must regenerate its committed journal byte for
-# byte. Run from a scratch directory: the presets write their telemetry
-# under ./results relative to the working directory, which must never be
-# the repository's own results/.
+# byte. `--results-dir` takes the telemetry artifact as well as the
+# journal, so a run from a scratch working directory must leave nothing
+# in that directory's own ./results.
 journal_dir="$(mktemp -d /tmp/synran-journals.XXXXXX)"
-trap 'kill "$agent_pid" "$drop_agent_pid" 2>/dev/null || true; rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$cohort_dir" "$campaign_dir" "$fleet_dir" "$journal_dir"' EXIT
+trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$campaign_dir" "$journal_dir"' EXIT
+synran_bin="$PWD/target/release/synran"
 for name in e3 e4 e6 e7; do
     (cd "$journal_dir" && "$synran_bin" campaign run "$OLDPWD/campaigns/$name.campaign" \
         --fresh --results-dir fresh >/dev/null 2>&1)
     cmp "$journal_dir/fresh/$name.journal.jsonl" "results/$name.journal.jsonl" \
         || { echo "$name journal no longer matches results/$name.journal.jsonl"; exit 1; }
 done
+[ ! -e "$journal_dir/results" ] \
+    || { echo "a campaign wrote outside its --results-dir"; exit 1; }
 echo "journal regeneration OK: e3, e4, e6, e7 byte-identical to results/"
 
 echo "== tier1: OK =="
