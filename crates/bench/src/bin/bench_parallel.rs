@@ -4,9 +4,7 @@
 //! `run_batch` at `threads = 1` and `threads = max(2, cores)`, asserts
 //! that threads ∈ {1, 2, 8} all produce byte-identical results, and
 //! writes the wall times plus the measured speedup to a hand-rolled JSON
-//! file at the repo root (or `--out <path>`). The versioned `"pool"` key
-//! records the persistent worker pool's spawn/re-use counters — in steady
-//! state the pool re-uses far more than it spawns.
+//! file at the repo root (or `--out <path>`).
 //!
 //! The acceptance criterion — at least 2x speedup at n = 256 — applies on
 //! machines with at least 4 cores; the JSON records the core count the
@@ -134,7 +132,7 @@ fn batch_row(n: usize, threads: usize, runs: usize, reps: usize) -> Row {
 
 /// Measures a fan-out of exactly [`parallel::MIN_CHUNK`] small worlds —
 /// below the spawn threshold, so `par_map` runs inline at any thread
-/// count and a tiny batch no longer pays thread spawn overhead
+/// count and a tiny batch pays no thread spawn overhead
 /// (`speedup` ≈ 1.0 instead of the pre-threshold small-n penalty).
 fn tiny_batch_row(n: usize, threads: usize, reps: usize) -> Row {
     let total = parallel::MIN_CHUNK;
@@ -241,7 +239,7 @@ fn main() {
     let sizes: [usize; 2] = if smoke { [16, 48] } else { [64, 256] };
     let cores = parallel::resolve_threads(parallel::AUTO_THREADS);
     // `Args::threads` applies the oversubscription clamp; the bench floors
-    // at 2 so the parallel column exercises the pool even on one core.
+    // at 2 so the parallel column exercises the fan-out even on one core.
     let threads = args.threads().max(2);
     let out = std::env::args()
         .skip(1)
@@ -252,7 +250,6 @@ fn main() {
 
     println!("bench_parallel: cores={cores} threads={threads} reps={reps} smoke={smoke}");
     let mut rows = Vec::new();
-    let mut pool_after_second_batch = None;
     for n in sizes {
         let v = valency_row(n, threads, samples, horizon, reps);
         println!(
@@ -270,10 +267,6 @@ fn main() {
             s.speedup()
         );
         rows.push(s);
-        // The acceptance criterion reads the pool counters "after the
-        // second batch": snapshot them once the first size's two batch
-        // groups have dispatched.
-        pool_after_second_batch.get_or_insert_with(|| parallel::global_pool().stats());
     }
     let tiny = tiny_batch_row(sizes[0], threads, reps);
     println!(
@@ -284,34 +277,6 @@ fn main() {
         tiny.speedup()
     );
     rows.push(tiny);
-
-    // Pool scheduling counters: spawn once, re-use forever afterwards.
-    let mid = pool_after_second_batch.expect("two batches ran");
-    let fin = parallel::global_pool().stats();
-    assert!(
-        mid.reused > mid.spawned,
-        "pool must re-use more helpers than it spawned after the second batch \
-         (spawned={}, reused={})",
-        mid.spawned,
-        mid.reused
-    );
-    println!(
-        "pool: spawned={} reused={} tasks={} inline={} (after 2nd batch: spawned={} reused={})",
-        fin.spawned, fin.reused, fin.tasks, fin.inline, mid.spawned, mid.reused
-    );
-    let pool_block = format!(
-        "  \"pool\": {{\n    \"version\": 1,\n    \
-         \"after_second_batch\": {{\"spawned\": {}, \"reused\": {}}},\n    \
-         \"final\": {{\"spawned\": {}, \"reused\": {}, \"tasks\": {}, \"inline\": {}}},\n    \
-         \"reused_gt_spawned\": {}\n  }},\n",
-        mid.spawned,
-        mid.reused,
-        fin.spawned,
-        fin.reused,
-        fin.tasks,
-        fin.inline,
-        mid.reused > mid.spawned
-    );
 
     // Spans-mode instrumentation pass (not timed): the serial-vs-parallel
     // phase breakdown recorded under the versioned "telemetry" key.
@@ -336,7 +301,6 @@ fn main() {
         "  \"note\": \"speedup target (>=2x at n=256) applies on machines with >=4 cores; \
          results at threads 1/2/8 are byte-identical by construction\",\n",
     );
-    json.push_str(&pool_block);
     json.push_str(&telemetry_block);
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {

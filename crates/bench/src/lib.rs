@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
+use std::str::FromStr;
 
 pub use synran_lab::artifact::{results_telemetry_path, write_telemetry_jsonl};
 
@@ -79,68 +80,51 @@ impl Args {
         Args::parse(std::env::args().skip(1))
     }
 
-    /// A `usize` knob with a default.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a clear message if the value does not parse.
+    /// Parses knob `key` as `T` (`what` names the expected shape in the
+    /// error), or returns `default` when the knob is absent.
+    fn parsed<T: FromStr>(&self, key: &str, default: T, what: &str) -> Result<T, String> {
+        self.values.get(key).map_or(Ok(default), |v| {
+            v.parse()
+                .map_err(|_| format!("--{key} expects {what}, got {v:?}"))
+        })
+    }
+
+    /// [`Args::parsed`], ending the process with an `error:` line on
+    /// stderr and exit status 1 when the value does not parse.
+    fn parsed_or_exit<T: FromStr>(&self, key: &str, default: T, what: &str) -> T {
+        self.parsed(key, default, what).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
+    }
+
+    /// A `usize` knob with a default. A value that does not parse ends
+    /// the process with `error: --<key> expects an integer, …` and exit
+    /// status 1.
     #[must_use]
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
-            })
-            .unwrap_or(default)
+        self.parsed_or_exit(key, default, "an integer")
     }
 
-    /// A `u64` knob with a default.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a clear message if the value does not parse.
+    /// A `u64` knob with a default; a bad value exits like
+    /// [`Args::get_usize`].
     #[must_use]
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
-            })
-            .unwrap_or(default)
+        self.parsed_or_exit(key, default, "an integer")
     }
 
-    /// An `i64` knob with a default (negative values welcome: `--bias -2`).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a clear message if the value does not parse.
+    /// An `i64` knob with a default (negative values welcome: `--bias -2`);
+    /// a bad value exits like [`Args::get_usize`].
     #[must_use]
     pub fn get_i64(&self, key: &str, default: i64) -> i64 {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v:?}"))
-            })
-            .unwrap_or(default)
+        self.parsed_or_exit(key, default, "an integer")
     }
 
-    /// An `f64` knob with a default.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a clear message if the value does not parse.
+    /// An `f64` knob with a default; a bad value exits like
+    /// [`Args::get_usize`] (`expects a number`).
     #[must_use]
     pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}"))
-            })
-            .unwrap_or(default)
+        self.parsed_or_exit(key, default, "a number")
     }
 
     /// The raw string value of a knob, if present.
@@ -241,17 +225,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expects an integer")]
-    fn bad_integer_panics() {
-        let a = Args::parse(["--n", "abc"].map(String::from));
-        let _ = a.get_usize("n", 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "expects an integer")]
-    fn bad_i64_panics() {
-        let a = Args::parse(["--bias", "1.5"].map(String::from));
-        let _ = a.get_i64("bias", 0);
+    fn bad_values_are_errors_naming_the_key() {
+        let a = Args::parse(["--n", "abc", "--bias", "1.5", "--x", "y"].map(String::from));
+        assert_eq!(
+            a.parsed::<usize>("n", 0, "an integer"),
+            Err("--n expects an integer, got \"abc\"".to_string())
+        );
+        assert!(a
+            .parsed::<i64>("bias", 0, "an integer")
+            .unwrap_err()
+            .starts_with("--bias expects an integer"));
+        assert!(a
+            .parsed::<f64>("x", 0.0, "a number")
+            .unwrap_err()
+            .starts_with("--x expects a number"));
+        assert_eq!(a.parsed("absent", 7usize, "an integer"), Ok(7));
     }
 
     #[test]

@@ -117,12 +117,11 @@ impl BatchOutcome {
 /// `make_adversary` is called once per run with the run's seed so stateful
 /// adversaries start fresh; `base_cfg`'s seed is re-derived per run.
 ///
-/// Runs execute on [`base_cfg.threads()`](SimConfig::threads) workers
-/// from the persistent pool behind [`synran_sim::parallel`] (spawned once
-/// per process, re-used across batches — repeated batches pay no thread
-/// spawn cost). Every run's seed is a pure function of
-/// `(base_seed, run_index)` and the outcome is folded in run order, so
-/// the batch is **bit-for-bit identical for every thread count**.
+/// Runs execute on up to [`base_cfg.threads()`](SimConfig::threads)
+/// scoped threads via [`synran_sim::parallel`]. Every run's seed is a
+/// pure function of `(base_seed, run_index)` and the outcome is folded in
+/// run order, so the batch is **bit-for-bit identical for every thread
+/// count**.
 ///
 /// # Errors
 ///

@@ -27,12 +27,6 @@ pub fn results_telemetry_path(results_dir: &Path, bin: &str) -> PathBuf {
 /// `round_kills` line per entry of `kills_per_round` scored against the
 /// paper's `4√(n·ln n)+1` per-round cap for system size `n`.
 ///
-/// The global worker pool's cumulative stats are folded in as
-/// fill-if-absent gauges first
-/// ([`parallel::export_pool_stats`](synran_sim::parallel::export_pool_stats)),
-/// so the dump carries `pool.*` counters even for runs whose batches
-/// never dispatched on this handle.
-///
 /// `kills_per_round` is [`synran_sim::Metrics::kills_per_round`] output
 /// from a representative run — sorted, one entry per round.
 ///
@@ -50,7 +44,6 @@ pub fn write_telemetry_jsonl(
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
-    synran_sim::parallel::export_pool_stats(telemetry);
     let mut sink = JsonlSink::new(BufWriter::new(std::fs::File::create(path)?));
     for (key, value) in meta {
         sink.emit(&TelemetryEvent::Meta {
@@ -104,12 +97,5 @@ mod tests {
         assert!(text.starts_with("{\"type\":\"meta\",\"key\":\"experiment\""));
         assert!(text.contains("{\"type\":\"counter\",\"name\":\"sim.rounds\",\"value\":7}"));
         assert_eq!(text.matches("\"type\":\"round_kills\"").count(), 2);
-        // Pool gauges are filled in even though no batch ran on this handle.
-        for key in ["pool.spawned", "pool.reused", "pool.tasks", "pool.inline"] {
-            assert!(
-                text.contains(&format!("\"name\":\"{key}\"")),
-                "missing {key} gauge"
-            );
-        }
     }
 }

@@ -11,11 +11,10 @@
 //! one in-flight wave, and the journal's line order is itself a pure
 //! function of the cell list (never of scheduling).
 //!
-//! Waves dispatch onto the persistent worker pool in
-//! [`synran_sim::parallel`]: the helper threads are spawned by the first
-//! wave and re-used by every later wave (and by any nested fan-out a cell
-//! performs — nested dispatches fall back inline, deterministically), so
-//! a thousand-wave campaign pays thread-spawn cost exactly once.
+//! Each wave is one scoped fan-out in [`synran_sim::parallel`]; any
+//! fan-out a cell performs inside it (valency forks, seed batches) runs
+//! inline on that cell's thread, so the campaign never runs more threads
+//! than `threads`.
 //!
 //! Cells already present in the cache — from this campaign's journal, or
 //! imported from another's — are skipped and their recorded results
@@ -122,7 +121,7 @@ impl Engine {
 
     /// Runs a campaign's cell list and returns its results in cell order.
     ///
-    /// Cached cells are skipped; fresh cells execute on the worker pool in
+    /// Cached cells are skipped; fresh cells execute in parallel in
     /// waves and are journaled (in cell order) as each wave completes.
     /// Duplicate cells within the list execute once.
     ///
@@ -211,7 +210,7 @@ impl Engine {
     }
 
     /// Emits one heartbeat from the serial fold, if a sink is attached.
-    /// Reads clocks and pool stats but writes nothing except to the sink.
+    /// Reads clocks but writes nothing except to the sink.
     fn emit_heartbeat(
         &mut self,
         done: usize,
@@ -243,7 +242,6 @@ impl Engine {
             cache_hits,
             cells_per_sec,
             eta_secs,
-            pool: parallel::global_pool().stats(),
         });
     }
 }

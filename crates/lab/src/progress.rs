@@ -7,8 +7,6 @@
 //! cannot change a single byte of campaign output — pinned by
 //! `progress_is_observe_only` in the engine tests.
 
-use synran_sim::parallel::PoolStats;
-
 /// One progress sample, emitted from the engine's serial fold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Heartbeat {
@@ -25,8 +23,6 @@ pub struct Heartbeat {
     /// Naive remaining-time estimate, seconds (`0.0` when done or when
     /// the rate is still unmeasurable).
     pub eta_secs: f64,
-    /// The global worker pool's cumulative scheduling counters.
-    pub pool: PoolStats,
 }
 
 impl Heartbeat {
@@ -46,7 +42,7 @@ impl Heartbeat {
     #[must_use]
     pub fn render(&self) -> String {
         format!(
-            "[{:5.1}%] {}/{} cells ({} run, {} cached) | {:.1} cells/s | eta {:.0}s | pool {} reused / {} spawned",
+            "[{:5.1}%] {}/{} cells ({} run, {} cached) | {:.1} cells/s | eta {:.0}s",
             self.percent(),
             self.done,
             self.total,
@@ -54,8 +50,6 @@ impl Heartbeat {
             self.cache_hits,
             self.cells_per_sec,
             self.eta_secs,
-            self.pool.reused,
-            self.pool.spawned,
         )
     }
 }
@@ -104,7 +98,6 @@ mod tests {
             cache_hits: 1,
             cells_per_sec: 150.0,
             eta_secs: 0.06,
-            pool: PoolStats::default(),
         };
         assert!((beat.percent() - 25.0).abs() < 1e-9);
         let line = beat.render();
@@ -118,7 +111,6 @@ mod tests {
             cache_hits: 0,
             cells_per_sec: 0.0,
             eta_secs: 0.0,
-            pool: PoolStats::default(),
         };
         assert!((empty.percent() - 100.0).abs() < 1e-9);
     }
@@ -133,7 +125,6 @@ mod tests {
             cache_hits: 0,
             cells_per_sec: 1.0,
             eta_secs: 1.0,
-            pool: PoolStats::default(),
         };
         sink.heartbeat(&beat);
         assert_eq!(sink.beats.len(), 1);

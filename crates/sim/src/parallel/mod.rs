@@ -19,48 +19,42 @@
 //! point addition is not associative, so summing in completion order would
 //! break replay determinism).
 //!
-//! # The persistent pool
+//! # Scoped fan-out
 //!
-//! Fan-outs run on a process-wide [`WorkerPool`] of long-lived parked
-//! threads ([`global_pool`]) instead of spawning fresh
-//! [`std::thread::scope`] threads per call. The valency estimator calls
-//! `par_map` hundreds of times per adversary decision; at ~100 µs per
-//! thread spawn the old per-call scope threads cost more than the forks
-//! they evaluated. Pool threads are spawned lazily on first use, parked on
-//! a condvar between dispatches, and joined when the pool is dropped (the
-//! global pool lives for the process).
+//! Every fan-out splits `0..total` into `workers` contiguous index chunks
+//! of `ceil(total / workers)` and runs them on [`std::thread::scope`]:
+//! the caller runs chunk 0 itself, chunks `1..workers` each get a scoped
+//! thread, and the helpers are joined in chunk order. The split is a pure
+//! function of `(total, threads)`, so chunk boundaries (and therefore
+//! results and per-worker telemetry attribution) never depend on
+//! scheduling: chunk `w` runs indices `[w·chunk, min((w+1)·chunk, total))`
+//! and its results land at those indices. If chunks panic, the one with
+//! the lowest index is re-raised after every helper has been joined.
 //!
-//! Work is handed to the pool as `workers` contiguous index chunks of
-//! `ceil(total / workers)` — the split is a pure function of
-//! `(total, threads)`, so chunk boundaries (and therefore results and
-//! per-worker telemetry attribution) never depend on scheduling. Chunks
-//! are *claimed*, not assigned: the dispatching thread and the pool
-//! helpers race to claim chunk indices, each chunk writes only its own
-//! output slots, and the dispatcher blocks until every claimed chunk has
-//! finished. Which thread ran a chunk is unobservable; *that* chunk `w`
-//! ran indices `[w·chunk, min((w+1)·chunk, total))` is guaranteed.
+//! A fan-out started from inside a running chunk (a batch of worlds whose
+//! adversary estimates valency, say) runs inline on that chunk's thread
+//! instead of spawning again, so nesting never multiplies the thread
+//! count past the outer fan-out's `workers`.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::OnceLock;
 
-use crate::{Adversary, Process, RunReport, SimError, Telemetry, World};
+use crate::{Process, Telemetry, World};
 
 /// Sentinel for "use all available parallelism" in thread-count knobs.
 pub const AUTO_THREADS: usize = 0;
 
 /// Minimum work units per spawned worker.
 ///
-/// Waking a parked pool thread costs more than evaluating a handful of
-/// small forks, so tiny fan-outs (the `n = 64` regime, estimator probes
-/// with few samples) used to run *slower* parallel than serial. Capping
-/// workers at `ceil(total / MIN_CHUNK)` makes small batches collapse
-/// toward the inline path while leaving large batches' chunking unchanged
-/// — and the worker count stays a pure function of `(total, threads)`,
-/// preserving the determinism contract.
+/// Spawning and joining a scoped thread costs more than evaluating a
+/// handful of small forks, so tiny fan-outs (the `n = 64` regime,
+/// estimator probes with few samples) would run *slower* parallel than
+/// serial. Capping workers at `ceil(total / MIN_CHUNK)` makes small
+/// batches collapse toward the inline path while leaving large batches'
+/// chunking unchanged — and the worker count stays a pure function of
+/// `(total, threads)`, preserving the determinism contract.
 pub const MIN_CHUNK: usize = 4;
 
 /// This machine's available parallelism, probed once per process.
@@ -97,413 +91,29 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------------
-
-/// Cumulative scheduling counters for one [`WorkerPool`].
-///
-/// The same values are recorded as `pool.spawned` / `pool.reused` /
-/// `pool.tasks` telemetry counters on every dispatch (observe-only, like
-/// the engine's `round.deliver.*` counters).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Helper threads created (lazily, by the first dispatch needing them).
-    pub spawned: u64,
-    /// Helper-thread engagements that re-used an already-running thread.
-    pub reused: u64,
-    /// Chunks dispatched through the pool (excludes inline fallbacks).
-    pub tasks: u64,
-    /// Dispatches that ran entirely inline because the pool was busy
-    /// (nested fan-out) — results are identical, only scheduling differs.
-    pub inline: u64,
+thread_local! {
+    /// Set while this thread runs a chunk of a multi-worker fan-out; a
+    /// fan-out started under it runs inline.
+    static IN_FAN_OUT: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Type-erased pointer to the task closure of the dispatch in flight.
-///
-/// The pointee's borrow lifetime is erased so parked helper threads (which
-/// outlive any one dispatch) can hold it; see the `SAFETY` notes in
-/// [`WorkerPool::run`] for why every dereference happens while the
-/// dispatching call is still on the stack.
-#[derive(Clone, Copy)]
-struct JobPtr(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the pointee is `Sync` (callable through `&` from any thread),
-// and `WorkerPool::run` keeps it alive — it does not return until every
-// claimed chunk has finished running.
-#[allow(unsafe_code)]
-unsafe impl Send for JobPtr {}
-
-/// Shared pool state: the published job and the chunk-claim cursor.
-struct PoolState {
-    /// The dispatch in flight, if any.
-    job: Option<JobPtr>,
-    /// Next unclaimed chunk index.
-    next: usize,
-    /// One past the last chunk index of the current job.
-    end: usize,
-    /// Chunks claimed but not yet finished.
-    running: usize,
-    /// Panic payloads carried out of chunks, tagged with the chunk index.
-    panics: Vec<(usize, Box<dyn std::any::Any + Send>)>,
-    /// Set by [`WorkerPool::drop`]; parked helpers exit when they see it.
-    shutdown: bool,
+/// Runs `f` with [`IN_FAN_OUT`] set, restoring the previous value after.
+fn in_fan_out<R>(f: impl FnOnce() -> R) -> R {
+    let outer = IN_FAN_OUT.replace(true);
+    let result = f();
+    IN_FAN_OUT.set(outer);
+    result
 }
 
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Helpers park here between dispatches.
-    work_cv: Condvar,
-    /// The dispatcher parks here waiting for claimed chunks to finish.
-    done_cv: Condvar,
-}
-
-/// Tasks never panic while holding the state lock (chunk bodies run under
-/// `catch_unwind` *outside* it), so a poisoned mutex carries no broken
-/// invariant — recover the guard.
-fn lock_state(shared: &PoolShared) -> MutexGuard<'_, PoolState> {
-    shared.state.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A persistent pool of parked worker threads for deterministic fan-out.
-///
-/// Threads are spawned lazily (the pool starts empty and grows to the
-/// largest `workers - 1` any dispatch has needed), parked between
-/// dispatches, and joined on [`Drop`]. All `par_map` entry points share
-/// one process-wide instance ([`global_pool`]); separate instances exist
-/// for tests that need isolated [`PoolStats`].
-///
-/// One dispatch runs at a time. If a dispatch arrives while another is in
-/// flight — a work item fanning out again, or two instrumented worlds
-/// estimating concurrently — it falls back to running its chunks inline on
-/// the caller, which is deterministically identical (chunk → output-slot
-/// mapping is fixed) and cannot deadlock.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    /// Dispatch token + helper-thread handles. Held (via `try_lock`) for
-    /// the whole of [`WorkerPool::run`], serialising dispatches.
-    crew: Mutex<Vec<JoinHandle<()>>>,
-    spawned: AtomicU64,
-    reused: AtomicU64,
-    tasks: AtomicU64,
-    inline: AtomicU64,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Default for WorkerPool {
-    fn default() -> WorkerPool {
-        WorkerPool::new()
-    }
-}
-
-impl WorkerPool {
-    /// Creates an empty pool; threads are spawned on first use.
-    #[must_use]
-    pub fn new() -> WorkerPool {
-        WorkerPool {
-            shared: Arc::new(PoolShared {
-                state: Mutex::new(PoolState {
-                    job: None,
-                    next: 0,
-                    end: 0,
-                    running: 0,
-                    panics: Vec::new(),
-                    shutdown: false,
-                }),
-                work_cv: Condvar::new(),
-                done_cv: Condvar::new(),
-            }),
-            crew: Mutex::new(Vec::new()),
-            spawned: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-            tasks: AtomicU64::new(0),
-            inline: AtomicU64::new(0),
-        }
-    }
-
-    /// Cumulative scheduling counters since the pool was created.
-    #[must_use]
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            spawned: self.spawned.load(Ordering::Relaxed),
-            reused: self.reused.load(Ordering::Relaxed),
-            tasks: self.tasks.load(Ordering::Relaxed),
-            inline: self.inline.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Helper threads currently alive.
-    #[must_use]
-    pub fn threads_alive(&self) -> usize {
-        self.crew
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// Runs `task(0), …, task(chunks - 1)`, each exactly once, spreading
-    /// chunks across the caller and up to `chunks - 1` pool helpers.
-    /// Returns only after every chunk has finished. Propagates the panic
-    /// of the lowest panicking chunk index.
-    fn run(&self, telemetry: &Telemetry, chunks: usize, task: &(dyn Fn(usize) + Sync)) {
-        debug_assert!(chunks >= 2, "single-chunk dispatches run inline");
-        let Ok(mut crew) = self.crew.try_lock() else {
-            // Pool busy (nested or concurrent fan-out): run inline. The
-            // chunk → slot mapping is fixed, so results are identical.
-            self.inline.fetch_add(1, Ordering::Relaxed);
-            run_chunks_inline(chunks, task);
-            return;
-        };
-
-        // Lazily grow the crew. A failed spawn degrades gracefully: the
-        // claim loop below guarantees the caller picks up any chunk no
-        // helper claims.
-        let want = chunks - 1;
-        let before = crew.len().min(want);
-        while crew.len() < want {
-            let shared = Arc::clone(&self.shared);
-            let name = format!("synran-worker-{}", crew.len());
-            match std::thread::Builder::new()
-                .name(name)
-                .spawn(move || worker_loop(&shared))
-            {
-                Ok(handle) => crew.push(handle),
-                Err(_) => break,
-            }
-        }
-        let newly = (crew.len().min(want) - before) as u64;
-        self.spawned.fetch_add(newly, Ordering::Relaxed);
-        self.reused.fetch_add(before as u64, Ordering::Relaxed);
-        self.tasks.fetch_add(chunks as u64, Ordering::Relaxed);
-        // Zero increments are skipped so the counters only materialise for
-        // dispatches that actually spawned / re-used (mirrors how the
-        // engine's `round.deliver.*` counters behave).
-        if newly > 0 {
-            telemetry.incr("pool.spawned", newly);
-        }
-        if before > 0 {
-            telemetry.incr("pool.reused", before as u64);
-        }
-        telemetry.incr("pool.tasks", chunks as u64);
-
-        // Publish the job and wake the helpers.
-        {
-            let mut st = lock_state(&self.shared);
-            debug_assert!(st.job.is_none() && st.running == 0);
-            st.job = Some(erase_task(task));
-            st.next = 0;
-            st.end = chunks;
-            self.shared.work_cv.notify_all();
-        }
-        // The caller claims chunks alongside the helpers: progress never
-        // depends on a helper actually existing or waking up.
-        loop {
-            let w = {
-                let mut st = lock_state(&self.shared);
-                if st.next >= st.end {
-                    break;
-                }
-                let w = st.next;
-                st.next += 1;
-                st.running += 1;
-                w
-            };
-            let result = panic::catch_unwind(AssertUnwindSafe(|| task(w)));
-            let mut st = lock_state(&self.shared);
-            if let Err(payload) = result {
-                st.panics.push((w, payload));
-            }
-            st.running -= 1;
-        }
-        // Wait for the helpers' claimed chunks, then retire the job. From
-        // here no thread holds the task pointer, so the borrow it erased
-        // may end.
-        let panics = {
-            let mut st = lock_state(&self.shared);
-            while st.running > 0 {
-                st = self
-                    .shared
-                    .done_cv
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            st.job = None;
-            std::mem::take(&mut st.panics)
-        };
-        drop(crew);
-        if let Some((_, payload)) = panics.into_iter().min_by_key(|(w, _)| *w) {
-            panic::resume_unwind(payload);
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut st = lock_state(&self.shared);
-            st.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
-        let crew = std::mem::take(self.crew.get_mut().unwrap_or_else(PoisonError::into_inner));
-        for handle in crew {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Inline fallback: the caller runs every chunk itself, in index order,
-/// with the same lowest-chunk panic propagation as the pooled path.
-fn run_chunks_inline(chunks: usize, task: &(dyn Fn(usize) + Sync)) {
-    let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-    for w in 0..chunks {
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| task(w))) {
-            first_panic.get_or_insert(payload);
-        }
-    }
-    if let Some(payload) = first_panic {
-        panic::resume_unwind(payload);
-    }
-}
-
-/// Erases the task borrow's lifetime so parked helpers can hold the
-/// pointer across their `'static` thread bodies.
-#[allow(unsafe_code)]
-fn erase_task<'a>(task: &'a (dyn Fn(usize) + Sync + 'a)) -> JobPtr {
-    // SAFETY: lifetime-only transmute between identical fat-pointer
-    // layouts. `WorkerPool::run` publishes the pointer after this call and
-    // blocks until `running == 0` with no chunk left to claim before
-    // returning, so the pointee strictly outlives every dereference.
-    let erased: &'static (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(task) };
-    JobPtr(std::ptr::from_ref(erased))
-}
-
-/// Invokes the published job on chunk `w`.
-#[allow(unsafe_code)]
-fn invoke(job: JobPtr, w: usize) {
-    // SAFETY: `job` was published by a `WorkerPool::run` still blocked in
-    // its wait loop — this worker's claim is counted in `running`, which
-    // the dispatcher waits on before letting the closure's borrow end.
-    let task = unsafe { &*job.0 };
-    task(w);
-}
-
-/// Body of a parked helper thread: claim chunks while a job is published,
-/// park on `work_cv` otherwise, exit on shutdown.
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let (job, w) = {
-            let mut st = lock_state(shared);
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.job.is_some() && st.next < st.end {
-                    break;
-                }
-                st = shared
-                    .work_cv
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            let w = st.next;
-            st.next += 1;
-            st.running += 1;
-            (st.job.expect("checked above"), w)
-        };
-        let result = panic::catch_unwind(AssertUnwindSafe(|| invoke(job, w)));
-        let mut st = lock_state(shared);
-        if let Err(payload) = result {
-            st.panics.push((w, payload));
-        }
-        st.running -= 1;
-        if st.next >= st.end && st.running == 0 {
-            shared.done_cv.notify_all();
-        }
-    }
-}
-
-/// The process-wide pool behind [`par_map`] and friends.
-///
-/// Created empty on first call; its threads live for the process (the
-/// static is never dropped), parked between dispatches.
-#[must_use]
-pub fn global_pool() -> &'static WorkerPool {
-    static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-    GLOBAL.get_or_init(WorkerPool::new)
-}
-
-/// Exports the global pool's cumulative [`WorkerPool::stats`] into
-/// `telemetry` as **fill-if-absent** gauges, so a JSONL counter dump
-/// carries `pool.spawned` / `pool.reused` / `pool.tasks` / `pool.inline`
-/// even when no pooled batch ran against this handle (e.g. a serial run,
-/// or a handle attached after the batches finished). Dispatch-time
-/// increments already recorded on the handle always win — this never
-/// overwrites them. Observe-only, like every other telemetry write.
-pub fn export_pool_stats(telemetry: &Telemetry) {
-    let stats = global_pool().stats();
-    telemetry.set_if_absent("pool.spawned", stats.spawned);
-    telemetry.set_if_absent("pool.reused", stats.reused);
-    telemetry.set_if_absent("pool.tasks", stats.tasks);
-    telemetry.set_if_absent("pool.inline", stats.inline);
-}
-
-// ---------------------------------------------------------------------------
-// par_map entry points
-// ---------------------------------------------------------------------------
-
-/// Write handle into the output slots, shared by raw pointer so chunks on
-/// different threads can fill their disjoint index ranges concurrently.
-struct SlotWriter<T> {
-    base: *mut Option<T>,
-}
-
-impl<T> Clone for SlotWriter<T> {
-    fn clone(&self) -> SlotWriter<T> {
-        *self
-    }
-}
-impl<T> Copy for SlotWriter<T> {}
-
-// SAFETY: `SlotWriter` is only used by `par_map_pooled`, whose chunks
-// write *disjoint* index ranges of a buffer that outlives the dispatch;
-// sending/sharing the pointer across the pool's threads is sound because
-// no two threads ever touch the same slot.
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Send for SlotWriter<T> {}
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Sync for SlotWriter<T> {}
-
-impl<T> SlotWriter<T> {
-    /// Writes `value` into slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds of the buffer `base` points into, the buffer
-    /// must outlive the call, and no other thread may access slot `i`
-    /// concurrently.
-    #[allow(unsafe_code)]
-    unsafe fn write(&self, i: usize, value: T) {
-        // SAFETY: guaranteed by the caller per the contract above.
-        unsafe { *self.base.add(i) = Some(value) };
-    }
-}
-
-/// Maps `f` over `0..total` on up to `threads` pool workers.
+/// Maps `f` over `0..total` on up to `threads` scoped threads.
 ///
 /// Results are identical to the serial `(0..total).map(f)` regardless of
 /// `threads` (see the module docs for the contract). `threads <= 1` runs
-/// inline without touching the pool.
+/// inline without spawning.
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the dispatch joins all chunks first).
+/// Propagates a panic from `f` (the fan-out joins all chunks first).
 pub fn par_map<T, F>(threads: usize, total: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -514,39 +124,17 @@ where
 
 /// [`par_map`] with telemetry: the fan-out is wrapped in a
 /// `parallel.par_map` span, each chunk records a `parallel.worker` span
-/// attributed to its chunk index, the `parallel.tasks` counter accumulates
-/// `total`, and pooled dispatches record the `pool.*` scheduling counters.
+/// attributed to its chunk index, and the `parallel.tasks` counter
+/// accumulates `total`.
 ///
 /// Telemetry is observe-only — results are identical to [`par_map`] (and
 /// to the serial map) for every `telemetry` handle and thread count.
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the dispatch joins all chunks first).
+/// Propagates the panic of the lowest panicking chunk, after every chunk
+/// has been joined.
 pub fn par_map_in<T, F>(telemetry: &Telemetry, threads: usize, total: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    par_map_pooled(global_pool(), telemetry, threads, total, f)
-}
-
-/// [`par_map_in`] on an explicit [`WorkerPool`] instead of the global one.
-///
-/// Exists so tests (and benchmarks isolating [`PoolStats`]) can run the
-/// full pooled path against a private pool; production callers use the
-/// [`global_pool`] via [`par_map_in`].
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the dispatch joins all chunks first).
-pub fn par_map_pooled<T, F>(
-    pool: &WorkerPool,
-    telemetry: &Telemetry,
-    threads: usize,
-    total: usize,
-    f: F,
-) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -554,58 +142,37 @@ where
     let _span = telemetry.span("parallel.par_map");
     telemetry.incr("parallel.tasks", total as u64);
     let workers = resolve_threads(threads).min(total.div_ceil(MIN_CHUNK));
-    if workers <= 1 {
+    if workers <= 1 || IN_FAN_OUT.get() {
         let _worker = telemetry.worker_span("parallel.worker", 0);
         return (0..total).map(f).collect();
     }
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
     let chunk = total.div_ceil(workers);
-    let out = SlotWriter {
-        base: slots.as_mut_ptr(),
-    };
-    // In spans mode, measure per-chunk busy time against the dispatch's
-    // wall time for the `pool.utilization` histogram. Observe-only: the
-    // clock reads never influence chunking or results.
-    let track_util = telemetry.spans_enabled();
-    let busy_ns: Vec<AtomicU64> = if track_util {
-        (0..workers).map(|_| AtomicU64::new(0)).collect()
-    } else {
-        Vec::new()
-    };
-    let dispatch_start = Instant::now();
-    pool.run(telemetry, workers, &|w| {
+    let run_chunk = |w: usize| -> Vec<T> {
         #[allow(clippy::cast_possible_truncation)]
         let _worker = telemetry.worker_span("parallel.worker", w as u32);
-        let chunk_start = track_util.then(Instant::now);
-        let lo = w * chunk;
-        let hi = total.min(lo + chunk);
-        for i in lo..hi {
-            let value = f(i);
-            // SAFETY: `i` is in `[0, total)`; chunk ranges are disjoint,
-            // and `slots` outlives `pool.run` (which joins every chunk
-            // before returning).
-            #[allow(unsafe_code)]
-            unsafe {
-                out.write(i, value);
-            };
+        (w * chunk..total.min((w + 1) * chunk)).map(&f).collect()
+    };
+    let run_chunk = &run_chunk;
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|w| s.spawn(move || in_fan_out(|| run_chunk(w))))
+            .collect();
+        let first = in_fan_out(|| panic::catch_unwind(AssertUnwindSafe(|| run_chunk(0))));
+        let mut out = Vec::with_capacity(total);
+        let mut panicked = None;
+        for result in std::iter::once(first).chain(helpers.into_iter().map(|h| h.join())) {
+            match result {
+                Ok(values) => out.extend(values),
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
         }
-        if let Some(start) = chunk_start {
-            #[allow(clippy::cast_possible_truncation)]
-            busy_ns[w].store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if let Some(payload) = panicked {
+            panic::resume_unwind(payload);
         }
-    });
-    if track_util {
-        #[allow(clippy::cast_possible_truncation)]
-        let wall = (dispatch_start.elapsed().as_nanos() as u64).max(1);
-        for busy in &busy_ns {
-            let pct = busy.load(Ordering::Relaxed).saturating_mul(100) / wall;
-            telemetry.observe("pool.utilization", pct.min(100));
-        }
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index was assigned to exactly one chunk"))
-        .collect()
+        out
+    })
 }
 
 /// Like [`par_map`] for fallible work: maps `f` over `0..total`, returning
@@ -652,7 +219,7 @@ where
     Ok(out)
 }
 
-/// Forks `world` once per seed and evaluates each fork on the worker pool.
+/// Forks `world` once per seed and evaluates each fork in a fan-out.
 ///
 /// The canonical fork-evaluation primitive behind valency estimation. The
 /// paused `world` is condensed once into a copy-on-write
@@ -685,44 +252,6 @@ where
     let snapshot = world.snapshot_bounded(horizon);
     try_par_map_in(world.telemetry(), threads, seeds.len(), |i| {
         eval(i, snapshot.fork(seeds[i]))
-    })
-}
-
-/// Convenience for the common "run each fork to completion under its own
-/// adversary" shape: forks `world` per seed, builds an adversary with
-/// `make_adversary(seed)`, drives the fork, and hands the outcome (the
-/// consumed world's report, or the engine error) to `score`.
-///
-/// # Errors
-///
-/// Returns the error of the lowest failing index.
-pub fn fork_run<P, A, T, E, FA, FS>(
-    world: &World<P>,
-    threads: usize,
-    seeds: &[u64],
-    horizon: u32,
-    make_adversary: FA,
-    score: FS,
-) -> Result<Vec<T>, E>
-where
-    P: Process + Clone + Send + Sync,
-    P::Msg: Send + Sync,
-    A: Adversary<P>,
-    T: Send,
-    E: Send,
-    FA: Fn(u64) -> A + Sync,
-    FS: Fn(Result<RunReport, SimError>) -> Result<T, E> + Sync,
-{
-    fork_eval(world, threads, seeds, horizon, |i, mut fork| {
-        let mut adversary = make_adversary(seeds[i]);
-        let outcome = match fork.drive(&mut adversary) {
-            Ok(()) => Ok(fork.into_report()),
-            Err(e) => {
-                fork.retire();
-                Err(e)
-            }
-        };
-        score(outcome)
     })
 }
 
@@ -772,100 +301,72 @@ mod tests {
         // chunk, whatever thread ran it. The chunk count follows the
         // resolve/clamp formula, so compute it rather than hard-coding.
         let expected = resolve_threads(4).min(40usize.div_ceil(MIN_CHUNK));
-        let mut workers: Vec<u32> = snap
+        let want: Vec<u32> = (0..expected as u32).collect();
+        assert_eq!(
+            worker_spans(&telemetry),
+            want,
+            "one span per chunk, chunk-indexed"
+        );
+        assert!(snap.spans.iter().any(|s| s.name == "parallel.par_map"));
+    }
+
+    /// Worker-span chunk indices recorded on `telemetry`, sorted.
+    fn worker_spans(telemetry: &Telemetry) -> Vec<u32> {
+        let mut workers: Vec<u32> = telemetry
+            .snapshot()
             .spans
             .iter()
             .filter(|s| s.name == "parallel.worker")
             .filter_map(|s| s.worker)
             .collect();
         workers.sort_unstable();
-        let want: Vec<u32> = (0..expected as u32).collect();
-        assert_eq!(workers, want, "one span per chunk, chunk-indexed");
-        assert!(snap.spans.iter().any(|s| s.name == "parallel.par_map"));
+        workers
     }
 
     #[test]
-    fn pool_counters_are_recorded_on_pooled_dispatches() {
-        use crate::telemetry::{Telemetry, TelemetryMode};
-        let pool = WorkerPool::new();
-        let telemetry = Telemetry::new(TelemetryMode::Counters);
-        let out = par_map_pooled(&pool, &telemetry, 2, 40, |i| i * 2);
-        assert_eq!(out, (0..40).map(|i| i * 2).collect::<Vec<_>>());
-        let snap = telemetry.snapshot();
-        // First dispatch on a fresh pool: one helper spawned, none reused.
-        assert_eq!(snap.counter("pool.spawned"), Some(1));
-        assert_eq!(snap.counter("pool.reused"), None);
-        assert_eq!(snap.counter("pool.tasks"), Some(2));
-        assert_eq!(
-            pool.stats(),
-            PoolStats {
-                spawned: 1,
-                reused: 0,
-                tasks: 2,
-                inline: 0
-            }
-        );
-    }
-
-    #[test]
-    fn pool_reuses_threads_across_dispatches() {
-        let pool = WorkerPool::new();
-        let telemetry = Telemetry::off();
-        for round in 0..5 {
-            let out = par_map_pooled(&pool, &telemetry, 2, 32, |i| i + round);
-            assert_eq!(out, (0..32).map(|i| i + round).collect::<Vec<_>>());
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.spawned, 1, "helper spawned once, lazily");
-        assert_eq!(stats.reused, 4, "then re-engaged on every dispatch");
-        assert_eq!(stats.tasks, 10, "2 chunks x 5 dispatches");
-        assert!(
-            stats.reused > stats.spawned,
-            "steady state re-uses more than it spawns"
-        );
-        assert_eq!(pool.threads_alive(), 1);
-    }
-
-    #[test]
-    fn nested_dispatch_falls_back_inline_and_stays_deterministic() {
-        let pool = WorkerPool::new();
-        let telemetry = Telemetry::off();
-        // Each outer work item fans out again on the same pool: the inner
-        // dispatches must run inline (pool busy) with identical results.
-        let out = par_map_pooled(&pool, &telemetry, 2, 8, |i| {
-            par_map_pooled(&pool, &telemetry, 2, 8, move |j| i * 8 + j)
-        });
+    fn nested_fan_out_runs_inline_and_stays_deterministic() {
+        use crate::telemetry::TelemetryMode;
+        // Each outer work item fans out again: the inner fan-outs run
+        // inline on the outer chunk's thread (one worker-0 span each) with
+        // results identical to the serial nested map.
+        let inner = Telemetry::new(TelemetryMode::Spans);
+        let out = par_map(2, 8, |i| par_map_in(&inner, 2, 8, move |j| i * 8 + j));
         let want: Vec<Vec<usize>> = (0..8)
             .map(|i| (0..8).map(|j| i * 8 + j).collect())
             .collect();
         assert_eq!(out, want);
-        assert!(pool.stats().inline > 0, "inner dispatches ran inline");
+        assert_eq!(
+            worker_spans(&inner),
+            vec![0; 8],
+            "one inline span per inner fan-out"
+        );
+        // The flag is scoped to the fan-out: afterwards the caller's own
+        // fan-outs split into chunks again.
+        let top = Telemetry::new(TelemetryMode::Spans);
+        assert_eq!(par_map_in(&top, 2, 8, |i| i), (0..8).collect::<Vec<_>>());
+        assert_eq!(worker_spans(&top), vec![0, 1]);
     }
 
     #[test]
-    fn pool_propagates_lowest_chunk_panic_and_survives() {
-        let pool = WorkerPool::new();
-        let telemetry = Telemetry::off();
+    fn lowest_chunk_panic_propagates_and_next_call_works() {
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            par_map_pooled(&pool, &telemetry, 2, 16, |i| {
+            par_map(2, 16, |i| {
                 assert!(i != 3 && i != 12, "boom at {i}");
                 i
             })
         }));
-        assert!(result.is_err(), "panic must propagate to the dispatcher");
-        // The pool is still usable afterwards: no wedged state, no dead
-        // helpers, and results are correct.
-        let out = par_map_pooled(&pool, &telemetry, 2, 16, |i| i);
+        let payload = result.expect_err("panic must propagate to the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert_eq!(message, "boom at 3", "chunk 0's panic wins over chunk 1's");
+        // Nothing is left wedged: the next fan-out (at top level again)
+        // splits and returns correct results.
+        let telemetry = Telemetry::new(crate::telemetry::TelemetryMode::Spans);
+        let out = par_map_in(&telemetry, 2, 16, |i| i);
         assert_eq!(out, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn dropping_a_pool_joins_its_threads() {
-        let pool = WorkerPool::new();
-        let out = par_map_pooled(&pool, &Telemetry::off(), 2, 32, |i| i);
-        assert_eq!(out.len(), 32);
-        assert_eq!(pool.threads_alive(), 1);
-        drop(pool); // must not hang or leak the parked helper
+        assert_eq!(worker_spans(&telemetry), vec![0, 1]);
     }
 
     #[test]
@@ -877,26 +378,17 @@ mod tests {
             let telemetry = Telemetry::new(TelemetryMode::Spans);
             let out = par_map_in(&telemetry, threads, MIN_CHUNK, |i| i * 7);
             assert_eq!(out, vec![0, 7, 14, 21], "threads = {threads}");
-            let snap = telemetry.snapshot();
-            let workers: Vec<u32> = snap
-                .spans
-                .iter()
-                .filter(|s| s.name == "parallel.worker")
-                .filter_map(|s| s.worker)
-                .collect();
-            assert_eq!(workers, vec![0], "threads = {threads}: expected inline run");
+            assert_eq!(
+                worker_spans(&telemetry),
+                vec![0],
+                "threads = {threads}: expected inline run"
+            );
         }
         // Just past the threshold: exactly two workers, same results.
         let telemetry = Telemetry::new(TelemetryMode::Spans);
         let out = par_map_in(&telemetry, 64, MIN_CHUNK + 1, |i| i * 7);
         assert_eq!(out, (0..=MIN_CHUNK).map(|i| i * 7).collect::<Vec<_>>());
-        let spans = telemetry.snapshot();
-        let workers = spans
-            .spans
-            .iter()
-            .filter(|s| s.name == "parallel.worker")
-            .count();
-        assert_eq!(workers, 2);
+        assert_eq!(worker_spans(&telemetry), vec![0, 1]);
     }
 
     #[test]
@@ -921,14 +413,10 @@ mod tests {
         .unwrap();
         let seeds: Vec<u64> = (0..13).map(|i| 1000 + i).collect();
         let run = |threads: usize| -> Vec<Vec<Option<Bit>>> {
-            fork_run(
-                &world,
-                threads,
-                &seeds,
-                50,
-                |_| Passive,
-                |outcome| Ok::<_, SimError>(outcome.unwrap().decisions().to_vec()),
-            )
+            fork_eval(&world, threads, &seeds, 50, |_, mut fork| {
+                fork.drive(&mut Passive)?;
+                Ok::<_, crate::SimError>(fork.into_report().decisions().to_vec())
+            })
             .unwrap()
         };
         let baseline = run(1);

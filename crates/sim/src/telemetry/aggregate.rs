@@ -19,8 +19,11 @@
 //! concurrent workers overlap; the same rule still produces a
 //! *deterministic* tree (ties broken by the sort), but a span may attach
 //! under a concurrent sibling's interval — aggregate per-phase totals
-//! remain exact, only the nesting is approximate. Profile with
-//! `--threads 1` when exact nesting matters.
+//! remain exact, only the nesting is approximate. Only the chunks of one
+//! fan-out run concurrently: a fan-out started inside a chunk runs inline
+//! on that chunk's thread (see [`crate::parallel`]), so its spans are
+//! serial within the chunk. Profile with `--threads 1` when exact nesting
+//! matters.
 //!
 //! # Determinism
 //!

@@ -227,12 +227,6 @@ impl Telemetry {
         self.hub.is_some()
     }
 
-    /// `true` when span timings are being recorded.
-    #[must_use]
-    pub fn spans_enabled(&self) -> bool {
-        self.mode() == TelemetryMode::Spans
-    }
-
     /// Starts a span; the returned guard records its wall-clock duration
     /// into the registry when dropped. A no-op (no clock read) unless the
     /// mode is [`TelemetryMode::Spans`].
@@ -282,21 +276,6 @@ impl Telemetry {
                 .expect("telemetry lock")
                 .counters
                 .insert(name, value);
-        }
-    }
-
-    /// Sets the counter `name` to `value` only if it has not been
-    /// recorded yet — a fill-in for process-wide gauges (see
-    /// [`crate::parallel::export_pool_stats`]): per-dispatch increments
-    /// already on this handle always win.
-    pub fn set_if_absent(&self, name: &'static str, value: u64) {
-        if let Some(hub) = &self.hub {
-            hub.state
-                .lock()
-                .expect("telemetry lock")
-                .counters
-                .entry(name)
-                .or_insert(value);
         }
     }
 
@@ -825,7 +804,7 @@ mod tests {
     fn counters_mode_skips_spans() {
         let t = Telemetry::new(TelemetryMode::Counters);
         assert!(t.is_enabled());
-        assert!(!t.spans_enabled());
+        assert_eq!(t.mode(), TelemetryMode::Counters);
         t.incr("a", 2);
         t.incr("a", 3);
         t.observe("h", 7);

@@ -1107,7 +1107,7 @@ struct SnapshotInner<P: Process> {
 /// cloning only the per-fork delta (process slots and queued outboxes —
 /// the state a resumed execution mutates) and borrowing a pooled round
 /// scratch. Cloning the snapshot itself is an `Arc` bump, so one snapshot
-/// can be shared across the worker pool for a whole `probes × samples`
+/// can be shared across the fan-out's threads for a whole `probes × samples`
 /// estimation pass.
 ///
 /// # Equivalence invariant

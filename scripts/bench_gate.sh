@@ -13,8 +13,8 @@
 #
 # Tolerance comes from BENCH_GATE_MAX_REGRESS (percent, default 25): a
 # time-like metric (any *_ms / *_ns) more than that far above its baseline
-# fails the gate, as does a baseline `true` boolean (identical,
-# reused_gt_spawned) turning false or a metric disappearing.
+# fails the gate, as does a baseline `true` boolean (identical) turning
+# false or a metric disappearing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -77,29 +77,27 @@ grep -q '"identical": true' "$plane_out" \
     || { echo "plane/scalar differential failed"; exit 1; }
 echo "bit-plane smoke OK: plane path identical to scalar oracle"
 
-echo "== tier1: worker-pool parallel smoke test =="
-# The persistent-pool fan-out must stay byte-identical to serial at
+echo "== tier1: parallel fan-out smoke test =="
+# The scoped-thread fan-out must stay byte-identical to serial at
 # threads 1, 2, and 8 on every row (valency estimation, seed batches,
-# tiny batches), and the pool must re-use helpers rather than spawn per
-# call (the binary asserts both and exits non-zero on violation). Run in
-# a scratch dir so the smoke artifacts never clobber the repo baselines.
-pool_dir="$(mktemp -d /tmp/synran-bench-parallel.XXXXXX)"
-trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir"' EXIT
-(cd "$pool_dir" && "$OLDPWD/target/release/bench_parallel" --smoke --out pool.json >/dev/null)
-rows="$(grep -c '"group"' "$pool_dir/pool.json")"
-matches="$(grep -c '"identical": true' "$pool_dir/pool.json")"
+# tiny batches); the binary asserts it and exits non-zero on violation.
+# Run in a scratch dir so the smoke artifacts never clobber the repo
+# baselines.
+parallel_dir="$(mktemp -d /tmp/synran-bench-parallel.XXXXXX)"
+trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$parallel_dir"' EXIT
+(cd "$parallel_dir" && "$OLDPWD/target/release/bench_parallel" --smoke --out parallel.json >/dev/null)
+rows="$(grep -c '"group"' "$parallel_dir/parallel.json")"
+matches="$(grep -c '"identical": true' "$parallel_dir/parallel.json")"
 [ "$rows" -gt 0 ] && [ "$rows" -eq "$matches" ] \
-    || { echo "worker-pool differential failed: $matches/$rows rows identical"; exit 1; }
-grep -q '"reused_gt_spawned": true' "$pool_dir/pool.json" \
-    || { echo "pool did not re-use threads across batches"; exit 1; }
-echo "worker-pool smoke OK: $rows/$rows rows identical at threads {1,2,8}, pool re-used"
+    || { echo "parallel differential failed: $matches/$rows rows identical"; exit 1; }
+echo "parallel smoke OK: $rows/$rows rows identical at threads {1,2,8}"
 
 echo "== tier1: campaign smoke test =="
 # End-to-end contract of the campaign engine: run a small grid campaign,
 # simulate a crash by truncating the journal mid-file, resume at a
 # different thread count, and require byte-identical rendered output.
 campaign_dir="$(mktemp -d /tmp/synran-campaign.XXXXXX)"
-trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$campaign_dir"' EXIT
+trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$parallel_dir" "$campaign_dir"' EXIT
 cat > "$campaign_dir/smoke.campaign" <<'EOF'
 campaign  = smoke
 adversary = balancer
@@ -133,7 +131,7 @@ echo "== tier1: committed journals regenerate =="
 # journal, so a run from a scratch working directory must leave nothing
 # in that directory's own ./results.
 journal_dir="$(mktemp -d /tmp/synran-journals.XXXXXX)"
-trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$pool_dir" "$campaign_dir" "$journal_dir"' EXIT
+trap 'rm -f "$telemetry_out" "$plane_out"; rm -rf "$parallel_dir" "$campaign_dir" "$journal_dir"' EXIT
 synran_bin="$PWD/target/release/synran"
 for name in e3 e4 e6 e7; do
     (cd "$journal_dir" && "$synran_bin" campaign run "$OLDPWD/campaigns/$name.campaign" \

@@ -9,6 +9,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -21,7 +22,7 @@ use synran::core::{
     LeaderConsensus, SynRan,
 };
 use synran::lab::{
-    load_cache, presets, scan_journal, CampaignSpec, CellCache, Engine, Journal, Report,
+    load_cache, presets, scan_journal, CampaignSpec, CellCache, Engine, Journal, LabError, Report,
     ReportFormat, StderrProgress,
 };
 use synran::sim::{
@@ -90,6 +91,36 @@ Adversary/protocol compatibility: balancer, lower-bound, walker, kill-*
 attack the SynRan family; hunter attacks leader; the rest attack anything.";
 
 type Parsed = (Vec<String>, HashMap<String, String>, Vec<String>);
+
+/// Why a command stopped early.
+enum Failure {
+    /// A user-facing message: printed as `error: …`, exit 1.
+    Msg(String),
+    /// Writing stdout failed. A closed pipe (`synran … | head`) is a quiet
+    /// exit 0; anything else is reported like [`Failure::Msg`].
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Msg(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Failure {
+        Failure::Msg(msg.to_string())
+    }
+}
+
+/// Every command writes stdout through `out`; file I/O errors are mapped
+/// to messages where they occur, so an `io::Error` reaching `?` is a
+/// stdout failure.
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        Failure::Stdout(e)
+    }
+}
 
 /// Splits an argument list into positionals (command words, spec paths),
 /// `--key value` pairs, and bare `--flag`s.
@@ -251,11 +282,12 @@ fn leader_adversary(
 }
 
 fn run_once<P>(
+    out: &mut dyn Write,
     protocol: &P,
     opts: &Opts,
     telemetry: &Telemetry,
     mut adversary: BoxedAdv<P::Proc>,
-) -> Result<(), String>
+) -> Result<(), Failure>
 where
     P: ConsensusProtocol,
 {
@@ -267,39 +299,49 @@ where
         telemetry,
     )
     .map_err(|e| e.to_string())?;
-    println!("protocol    : {}", protocol.name());
-    println!("adversary   : {}", opts.adversary);
-    println!("n / t / ones: {} / {} / {}", opts.n, opts.t, opts.ones);
-    println!("rounds      : {}", verdict.rounds());
-    println!("kills       : {}", verdict.report().metrics().total_kills());
-    println!("decision    : {:?}", verdict.report().unanimous_decision());
-    println!(
+    writeln!(out, "protocol    : {}", protocol.name())?;
+    writeln!(out, "adversary   : {}", opts.adversary)?;
+    writeln!(out, "n / t / ones: {} / {} / {}", opts.n, opts.t, opts.ones)?;
+    writeln!(out, "rounds      : {}", verdict.rounds())?;
+    writeln!(
+        out,
+        "kills       : {}",
+        verdict.report().metrics().total_kills()
+    )?;
+    writeln!(
+        out,
+        "decision    : {:?}",
+        verdict.report().unanimous_decision()
+    )?;
+    writeln!(
+        out,
         "correct     : {} (agreement {}, validity {}, termination {})",
         verdict.is_correct(),
         verdict.agreement(),
         verdict.validity(),
         verdict.termination()
-    );
+    )?;
     if !verdict.violations().is_empty() {
         for v in verdict.violations() {
-            println!("violation   : {v}");
+            writeln!(out, "violation   : {v}")?;
         }
     }
     if opts.trace {
-        println!("\ntrace:");
+        writeln!(out, "\ntrace:")?;
         for e in verdict.report().trace().events() {
-            println!("  {e}");
+            writeln!(out, "  {e}")?;
         }
     }
     Ok(())
 }
 
 fn run_batch_cmd<P, F>(
+    out: &mut dyn Write,
     protocol: &P,
     opts: &Opts,
     telemetry: &Telemetry,
     make: F,
-) -> Result<(), String>
+) -> Result<(), Failure>
 where
     P: ConsensusProtocol + Sync,
     F: Fn(u64) -> Result<BoxedAdv<P::Proc>, String> + Sync,
@@ -320,78 +362,86 @@ where
     let mean = outcome.mean_rounds();
     let kills: f64 =
         outcome.kills().iter().map(|&k| k as f64).sum::<f64>() / outcome.kills().len() as f64;
-    println!("protocol  : {}", protocol.name());
-    println!("adversary : {}", opts.adversary);
-    println!("n / t     : {} / {}", opts.n, opts.t);
-    println!("runs      : {}", opts.runs);
-    println!(
+    writeln!(out, "protocol  : {}", protocol.name())?;
+    writeln!(out, "adversary : {}", opts.adversary)?;
+    writeln!(out, "n / t     : {} / {}", opts.n, opts.t)?;
+    writeln!(out, "runs      : {}", opts.runs)?;
+    writeln!(
+        out,
         "rounds    : mean {:.1}, max {:?}",
         mean,
         outcome.max_rounds()
-    );
-    println!("kills     : mean {kills:.1}");
-    println!(
+    )?;
+    writeln!(out, "kills     : mean {kills:.1}")?;
+    writeln!(
+        out,
         "correct   : {}/{} runs",
         opts.runs - outcome.incorrect().len() - outcome.timeouts(),
         opts.runs
-    );
+    )?;
     for (seed, violations) in outcome.incorrect() {
-        println!("  seed {seed}: {violations:?}");
+        writeln!(out, "  seed {seed}: {violations:?}")?;
     }
     Ok(())
 }
 
-fn dispatch(cmd: &str, opts: &Opts) -> Result<(), String> {
+fn dispatch(out: &mut dyn Write, cmd: &str, opts: &Opts) -> Result<(), Failure> {
     let seed0 = SimRng::new(opts.seed).next_u64();
     let telemetry = Telemetry::new(opts.telemetry);
     match (cmd, opts.protocol.as_str()) {
         ("run", "synran") => run_once(
+            out,
             &SynRan::new(),
             opts,
             &telemetry,
             synran_adversary(&opts.adversary, opts, seed0)?,
         ),
         ("run", "symmetric") => run_once(
+            out,
             &SynRan::symmetric(),
             opts,
             &telemetry,
             synran_adversary(&opts.adversary, opts, seed0)?,
         ),
         ("run", "flooding") => run_once(
+            out,
             &FloodingConsensus::for_faults(opts.t),
             opts,
             &telemetry,
             generic_adversary(&opts.adversary, opts, seed0)?,
         ),
         ("run", "leader") => run_once(
+            out,
             &LeaderConsensus::for_faults(opts.t),
             opts,
             &telemetry,
             leader_adversary(&opts.adversary, opts, seed0)?,
         ),
-        ("batch", "synran") => run_batch_cmd(&SynRan::new(), opts, &telemetry, |s| {
+        ("batch", "synran") => run_batch_cmd(out, &SynRan::new(), opts, &telemetry, |s| {
             synran_adversary(&opts.adversary, opts, s)
         }),
-        ("batch", "symmetric") => run_batch_cmd(&SynRan::symmetric(), opts, &telemetry, |s| {
+        ("batch", "symmetric") => run_batch_cmd(out, &SynRan::symmetric(), opts, &telemetry, |s| {
             synran_adversary(&opts.adversary, opts, s)
         }),
         ("batch", "flooding") => run_batch_cmd(
+            out,
             &FloodingConsensus::for_faults(opts.t),
             opts,
             &telemetry,
             |s| generic_adversary(&opts.adversary, opts, s),
         ),
         ("batch", "leader") => run_batch_cmd(
+            out,
             &LeaderConsensus::for_faults(opts.t),
             opts,
             &telemetry,
             |s| leader_adversary(&opts.adversary, opts, s),
         ),
-        (_, p) => return Err(format!("unknown protocol {p:?} (see `synran list`)")),
+        (_, p) => return Err(format!("unknown protocol {p:?} (see `synran list`)").into()),
     }?;
     if let Some(path) = &opts.telemetry_out {
         write_telemetry(path, cmd, opts, &telemetry)?;
-        println!("telemetry   : {} ({})", path, opts.telemetry);
+        writeln!(out, "telemetry   : {} ({})", path, opts.telemetry)?;
     }
     Ok(())
 }
@@ -431,16 +481,17 @@ fn write_telemetry(
 /// bookkeeping (cache hits, journal paths) goes to stderr so campaign
 /// output stays byte-identical to the experiment binaries'.
 fn campaign_cmd(
+    out: &mut dyn Write,
     rest: &[String],
     values: &HashMap<String, String>,
     flags: &[String],
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let command = match rest.first().map(String::as_str) {
         Some(command @ ("run" | "resume" | "status" | "list")) => command,
         Some(other) => {
-            return Err(format!(
-                "unknown campaign command {other:?} (run, resume, status, list)"
-            ))
+            return Err(
+                format!("unknown campaign command {other:?} (run, resume, status, list)").into(),
+            )
         }
         None => return Err("campaign expects a command: run, resume, status, or list".into()),
     };
@@ -450,13 +501,13 @@ fn campaign_cmd(
         .filter(|key| !CAMPAIGN_OPTIONS.contains(&key.as_str()))
         .min()
     {
-        return Err(format!("unknown campaign option --{key}"));
+        return Err(format!("unknown campaign option --{key}").into());
     }
     let spec_path = rest.get(1).map(String::as_str);
     match command {
-        "run" | "resume" => campaign_run(spec_path, values, flags, command == "run"),
-        "status" => campaign_status(spec_path, values),
-        _ => campaign_list(values),
+        "run" | "resume" => campaign_run(out, spec_path, values, flags, command == "run"),
+        "status" => campaign_status(out, spec_path, values),
+        _ => campaign_list(out, values),
     }
 }
 
@@ -479,11 +530,12 @@ fn journal_path(values: &HashMap<String, String>, campaign: &str) -> std::path::
 }
 
 fn campaign_run(
+    out: &mut dyn Write,
     spec_path: Option<&str>,
     values: &HashMap<String, String>,
     flags: &[String],
     allow_fresh: bool,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let path = spec_path.ok_or("campaign run expects a spec path (e.g. campaigns/e3.campaign)")?;
     let spec = CampaignSpec::parse_file(Path::new(path)).map_err(|e| e.to_string())?;
     let cells = presets::campaign_cells(&spec).map_err(|e| e.to_string())?;
@@ -533,13 +585,10 @@ fn campaign_run(
             spec.name()
         );
     }
-    presets::run_campaign(
-        &spec,
-        &mut engine,
-        results_dir(values),
-        &mut std::io::stdout().lock(),
-    )
-    .map_err(|e| e.to_string())?;
+    presets::run_campaign(&spec, &mut engine, results_dir(values), out).map_err(|e| match e {
+        LabError::Io(e) if e.kind() == io::ErrorKind::BrokenPipe => Failure::Stdout(e),
+        e => Failure::Msg(e.to_string()),
+    })?;
     eprintln!(
         "campaign {}: {} cells executed, {} cache hits → {}",
         spec.name(),
@@ -551,9 +600,10 @@ fn campaign_run(
 }
 
 fn campaign_status(
+    out: &mut dyn Write,
     spec_path: Option<&str>,
     values: &HashMap<String, String>,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let path = spec_path.ok_or("campaign status expects a spec path")?;
     let spec = CampaignSpec::parse_file(Path::new(path)).map_err(|e| e.to_string())?;
     let cells = presets::campaign_cells(&spec).map_err(|e| e.to_string())?;
@@ -577,25 +627,27 @@ fn campaign_status(
     } else {
         completed as f64 * 100.0 / cells.len() as f64
     };
-    println!("campaign   : {}", spec.name());
-    println!("experiment : {}", spec.experiment());
-    println!("spec hash  : {}", spec.content_hash());
-    println!(
+    writeln!(out, "campaign   : {}", spec.name())?;
+    writeln!(out, "experiment : {}", spec.experiment())?;
+    writeln!(out, "spec hash  : {}", spec.content_hash())?;
+    writeln!(
+        out,
         "progress   : {percent:.1}% complete ({completed}/{} cells, {} pending)",
         cells.len(),
         cells.len() - completed
-    );
+    )?;
     let dropped = if scan.skipped > 0 {
         format!(", {} lines dropped by truncation recovery", scan.skipped)
     } else {
         String::new()
     };
-    println!(
+    writeln!(
+        out,
         "journal    : {} ({} entries{dropped})",
         journal_path.display(),
         scan.entries
-    );
-    println!("last write : {}", last_write_age(&journal_path));
+    )?;
+    writeln!(out, "last write : {}", last_write_age(&journal_path))?;
     Ok(())
 }
 
@@ -623,10 +675,11 @@ fn last_write_age(path: &Path) -> String {
 /// `synran report` — deterministic renderings of telemetry and journal
 /// artifacts (`synran::lab::Report`).
 fn report_cmd(
+    out: &mut dyn Write,
     paths: &[String],
     values: &HashMap<String, String>,
     flags: &[String],
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     // The `--key value` parser is greedy, so in `report --check a.jsonl`
     // the first path lands as the flag's value — reclaim it.
     let mut paths: Vec<&String> = paths.iter().collect();
@@ -651,34 +704,35 @@ fn report_cmd(
     if check {
         return match report.check() {
             Ok(text) => {
-                print!("{text}");
-                println!("check: ok");
+                write!(out, "{text}")?;
+                writeln!(out, "check: ok")?;
                 Ok(())
             }
-            Err(text) => Err(format!("stream integrity check failed\n{text}")),
+            Err(text) => Err(format!("stream integrity check failed\n{text}").into()),
         };
     }
     if let Some(name) = report.unrecognized() {
         return Err(format!(
             "{name}: no telemetry events (expected a *.telemetry.jsonl or *.journal.jsonl artifact)"
-        ));
+        )
+        .into());
     }
     let format = values.get("format").map_or(Ok(ReportFormat::Table), |v| {
         ReportFormat::parse(v).map_err(|e| e.to_string())
     })?;
-    print!("{}", report.render(format));
+    write!(out, "{}", report.render(format))?;
     Ok(())
 }
 
-fn campaign_list(values: &HashMap<String, String>) -> Result<(), String> {
+fn campaign_list(out: &mut dyn Write, values: &HashMap<String, String>) -> Result<(), Failure> {
     let dir = values.get("dir").map_or("campaigns", String::as_str);
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            println!("no campaign directory at {dir}/");
+            writeln!(out, "no campaign directory at {dir}/")?;
             return Ok(());
         }
-        Err(e) => return Err(format!("{dir}: {e}")),
+        Err(e) => return Err(format!("{dir}: {e}").into()),
     };
     let mut specs: Vec<std::path::PathBuf> = entries
         .filter_map(Result::ok)
@@ -687,7 +741,7 @@ fn campaign_list(values: &HashMap<String, String>) -> Result<(), String> {
         .collect();
     specs.sort();
     if specs.is_empty() {
-        println!("no .campaign specs under {dir}/");
+        writeln!(out, "no .campaign specs under {dir}/")?;
         return Ok(());
     }
     for path in specs {
@@ -701,83 +755,109 @@ fn campaign_list(values: &HashMap<String, String>) -> Result<(), String> {
                     .iter()
                     .filter(|c| cache.contains_key(&c.content_hash()))
                     .count();
-                println!(
+                writeln!(
+                    out,
                     "{:<16} {:<6} {:>4} cells ({cached} cached)  {}",
                     spec.name(),
                     spec.experiment(),
                     cells.len(),
                     path.display()
-                );
+                )?;
             }
-            Err(e) => println!("{:<16} INVALID: {e}", path.display()),
+            Err(e) => writeln!(out, "{:<16} INVALID: {e}", path.display())?,
         }
     }
     Ok(())
 }
 
-fn list() {
-    println!("protocols : synran (the paper's §4 protocol, any t < n)");
-    println!("            symmetric (SynRan minus the one-sided coin rule — E5's ablation)");
-    println!("            flooding (deterministic t+1-round baseline)");
-    println!("            leader (CMS-style random leader, t < n/2 — E9)");
-    println!();
-    println!("adversaries: passive, random, storm, oblivious (pre-committed schedule),");
-    println!("            kill-ones, kill-zeros, balancer (Lemma 4.6 stalling),");
-    println!("            lower-bound (Theorem 1, valency-guided), walker (§3.4 message walk),");
-    println!("            hunter (leader-killing, E9)");
-    println!();
-    println!("experiments (in crates/bench): e1_coin_control e2_blowup e3_lower_bound");
-    println!("            e4_synran_upper e5_protocol_comparison e6_large_deviation");
-    println!("            e7_t_sweep e8_budget_ablation e9_adaptivity e10_threshold_ablation");
-    println!("            → cargo run --release -p synran-bench --bin <name>");
-    println!();
-    println!("campaigns : declarative sweeps under campaigns/ (E3, E4, E7 shipped)");
-    println!("            → synran campaign run campaigns/e3.campaign");
+fn list(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "protocols : synran (the paper's §4 protocol, any t < n)"
+    )?;
+    writeln!(
+        out,
+        "            symmetric (SynRan minus the one-sided coin rule — E5's ablation)"
+    )?;
+    writeln!(
+        out,
+        "            flooding (deterministic t+1-round baseline)"
+    )?;
+    writeln!(
+        out,
+        "            leader (CMS-style random leader, t < n/2 — E9)"
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
+        "adversaries: passive, random, storm, oblivious (pre-committed schedule),"
+    )?;
+    writeln!(
+        out,
+        "            kill-ones, kill-zeros, balancer (Lemma 4.6 stalling),"
+    )?;
+    writeln!(
+        out,
+        "            lower-bound (Theorem 1, valency-guided), walker (§3.4 message walk),"
+    )?;
+    writeln!(out, "            hunter (leader-killing, E9)")?;
+    writeln!(out)?;
+    writeln!(
+        out,
+        "experiments (in crates/bench): e1_coin_control e2_blowup e3_lower_bound"
+    )?;
+    writeln!(
+        out,
+        "            e4_synran_upper e5_protocol_comparison e6_large_deviation"
+    )?;
+    writeln!(
+        out,
+        "            e7_t_sweep e8_budget_ablation e9_adaptivity e10_threshold_ablation"
+    )?;
+    writeln!(
+        out,
+        "            → cargo run --release -p synran-bench --bin <name>"
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
+        "campaigns : declarative sweeps under campaigns/ (E3, E4, E7 shipped)"
+    )?;
+    writeln!(
+        out,
+        "            → synran campaign run campaigns/e3.campaign"
+    )
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (positionals, values, flags) = parse(&args);
-    let Some(cmd) = positionals.first().cloned() else {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
-    };
-    if cmd == "list" {
-        list();
-        return ExitCode::SUCCESS;
-    }
-    if cmd == "campaign" {
-        return match campaign_cmd(&positionals[1..], &values, &flags) {
-            Ok(()) => ExitCode::SUCCESS,
+    let mut out = io::stdout().lock();
+    let result = match positionals.first().map(String::as_str) {
+        None => writeln!(out, "{USAGE}").map_err(Failure::from),
+        Some("list") => list(&mut out).map_err(Failure::from),
+        Some("campaign") => campaign_cmd(&mut out, &positionals[1..], &values, &flags),
+        Some("report") => report_cmd(&mut out, &positionals[1..], &values, &flags),
+        Some(cmd @ ("run" | "batch")) => match Opts::from(&values, &flags) {
+            Ok(opts) => dispatch(&mut out, cmd, &opts),
             Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
+                eprintln!("error: {e}\n\n{USAGE}");
+                return ExitCode::FAILURE;
             }
-        };
-    }
-    if cmd == "report" {
-        return match report_cmd(&positionals[1..], &values, &flags) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if cmd != "run" && cmd != "batch" {
-        eprintln!("unknown command {cmd:?}\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
-    let opts = match Opts::from(&values, &flags) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+        },
+        Some(cmd) => {
+            eprintln!("unknown command {cmd:?}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    match dispatch(&cmd, &opts) {
+    match result.and_then(|()| out.flush().map_err(Failure::from)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("error: stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Msg(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }

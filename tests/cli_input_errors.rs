@@ -1,9 +1,11 @@
 //! Bad `synran run` / `synran batch` / `synran campaign` inputs end in a
 //! structured error: exit code 1, an `error:` line on stderr naming the
-//! offending flag or value, nothing on stdout, and never a panic.
+//! offending flag or value, nothing on stdout, and never a panic. A
+//! reader that closes stdout early (`synran … | head -1`) ends the run
+//! quietly with exit 0.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn synran(args: &[&str]) -> Output {
     synran_in(Path::new("."), args)
@@ -120,4 +122,23 @@ fn campaign_rejects_unknown_commands_and_options() {
         "unknown campaign command \"agent\"",
     );
     assert!(!dir.join("results").exists(), "rejected before any journal");
+}
+
+#[test]
+fn closed_stdout_is_a_quiet_exit() {
+    for args in [&["run", "--n", "64", "--trace"][..], &["list"][..]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_synran"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn synran");
+        // Close the read end before the child writes its first line.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait synran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

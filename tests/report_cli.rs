@@ -182,3 +182,35 @@ fn report_without_inputs_is_an_error() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("report"), "usage hint expected, got:\n{err}");
 }
+
+/// Every committed artifact under `results/` still passes `--check`,
+/// including telemetry written while the fan-out recorded `pool.*`
+/// scheduling counters: the read side keeps accepting them.
+#[test]
+fn committed_artifacts_pass_check() {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let mut artifacts: Vec<String> = std::fs::read_dir(&results)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            let name = path.file_name().unwrap().to_string_lossy();
+            name.ends_with(".telemetry.jsonl") || name.ends_with(".journal.jsonl")
+        })
+        .map(|path| path.to_string_lossy().into_owned())
+        .collect();
+    artifacts.sort();
+    assert!(
+        artifacts.iter().any(|a| a.ends_with(".telemetry.jsonl"))
+            && artifacts.iter().any(|a| a.ends_with(".journal.jsonl")),
+        "{artifacts:?}"
+    );
+    for artifact in &artifacts {
+        let out = synran(&["report", "--check", artifact]);
+        assert!(
+            out.status.success(),
+            "{artifact}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).ends_with("check: ok\n"));
+    }
+}
